@@ -8,7 +8,6 @@ primes of torsion summands.
 
 from .bench import (
     BenchReport,
-    InconsistencyError,
     WindowResult,
     lambda_bound,
     run_bench,
@@ -26,6 +25,7 @@ from .complexes import (
     save_filtration,
 )
 from .crt import (
+    InconsistencyError,
     PrimeBasis,
     bezout,
     crt_combine,

@@ -4,8 +4,8 @@ Verbs: rips, gen-ym, gen-flag (build filtration files), reduce (persistence
 over one or many prime fields), torsion (integral homology inference),
 bench (modular vs. brute-force timings), window (random-complex torsion
 window experiment).  Exit codes: 0 success, 1 usage error, 2 validation
-or I/O error, 3 internal inconsistency (modular and brute-force runs
-disagree).
+or I/O error, 3 internal inconsistency (an algorithm invariant failed,
+or modular and brute-force runs disagree).
 """
 
 from __future__ import annotations
@@ -350,9 +350,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (OSError, ValueError) as exc:

@@ -1,15 +1,23 @@
-"""Filtered simplicial complexes and sparse boundary columns.
+"""Filtered simplicial complexes and the sparse columns reducers read.
 
 A filtration is stored as one simplex per step, ordered by
-(value, dimension, vertex tuple); rows of boundary columns are the
-1-based filtration indices of facets.  Columns are sorted lists of
-(row, coefficient) with coefficients in [1, Q) for the working modulus
-Q; an entry that is zero modulo some of the basis primes but not all of
-them stays in the column, which is what lets one column carry every
-field at once.
+(value, dimension, vertex tuple).  Both reducers work on the
+anti-transposed coboundary matrix: simplex i of m is column m+1-i, and
+its rows are m+1-j for its cofacets j.  Pivots are still the largest
+row, and each pivot (row k, column c) is the persistence pair
+(m+1-c, m+1-k).  Boundary columns, whose rows are the 1-based
+filtration indices of facets, serve cycle reconstruction.  Columns are
+sorted sequences of (row, coefficient), with coefficients read modulo
+the working modulus Q: cached columns hold the signs +1/-1, and the
+reducers start from them without a copy; column_axpy writes values in
+[1, Q).  An entry that is zero modulo some of the basis primes but not
+all of them stays in the column, which is what lets one column carry
+every field at once.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .crt import PrimeBasis, partial_identity
 
@@ -53,7 +61,9 @@ class FilteredComplex:
     exactly one simplex.
     """
 
-    __slots__ = ("simplices", "values", "index_of", "_dims", "_brows")
+    __slots__ = (
+        "simplices", "values", "index_of", "_dims", "_brows", "_crows", "_nbrs", "_top"
+    )
 
     def __init__(self, items):
         pairs = [(_normalize_simplex(v), float(f)) for v, f in items]
@@ -68,6 +78,10 @@ class FilteredComplex:
         self.index_of: dict[Simplex, int] = index
         self._dims: tuple[int, ...] = tuple(len(s) - 1 for s in self.simplices)
         self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(pairs)
+        # coboundary cache and vertex neighbourhoods, built on first use
+        self._crows: list[tuple[tuple[int, int], ...] | None] | None = None
+        self._nbrs: dict[int, set[int]] = {}
+        self._top = -1
         self._validate()
 
     def _validate(self) -> None:
@@ -129,6 +143,54 @@ class FilteredComplex:
         result = tuple(rows)
         self._brows[j - 1] = result
         return result
+
+    def coboundary_rows(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Rows of simplex i's column in the anti-transposed coboundary
+        matrix: (m+1-j, sign of i in the boundary of j) for every cofacet
+        j, sorted by row; cached, except for top-dimensional simplices,
+        whose columns are empty.
+
+        A cofacet is the simplex plus one vertex adjacent to all of its
+        vertices, so candidates come from the vertex neighbourhoods and
+        are kept when the complex contains them.
+        """
+        crows = self._crows
+        if crows is None:
+            crows = self._crows = [None] * len(self.simplices)
+            nbrs = self._nbrs = {s[0]: set() for s in self.simplices if len(s) == 1}
+            for s in self.simplices:
+                if len(s) == 2:
+                    nbrs[s[0]].add(s[1])
+                    nbrs[s[1]].add(s[0])
+            self._top = self.max_dim
+        cached = crows[i - 1]
+        if cached is not None:
+            return cached
+        if self._dims[i - 1] == self._top:
+            return ()
+        nbrs = self._nbrs
+        verts = self.simplices[i - 1]
+        index_of = self.index_of
+        m1 = len(self.simplices) + 1
+        rows: list[tuple[int, int]] = []
+        for v in nbrs[verts[0]].intersection(*(nbrs[u] for u in verts[1:])):
+            pos = bisect(verts, v)
+            j = index_of.get(verts[:pos] + (v,) + verts[pos:])
+            if j is not None:
+                rows.append((m1 - j, 1 if pos % 2 == 0 else -1))
+        rows.sort()
+        result = tuple(rows)
+        crows[i - 1] = result
+        return result
+
+    def coboundary_order(self) -> list[int]:
+        """Columns of the anti-transposed coboundary matrix in clearing
+        order: ascending dimension, and ascending column (descending
+        simplex index) within a dimension, so every pivot row a column
+        could clear is known before that column is reached."""
+        m1 = len(self.simplices) + 1
+        by_dim = self.indices_by_dim()
+        return [m1 - i for d in sorted(by_dim) for i in reversed(by_dim[d])]
 
 
 def boundary_column(cx: FilteredComplex, basis: PrimeBasis, j: int) -> SparseColumn:

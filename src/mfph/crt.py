@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "InconsistencyError",
     "PrimeBasis",
     "bezout",
     "crt_combine",
@@ -30,6 +31,12 @@ __all__ = [
     "partial_inverse",
     "word_length",
 ]
+
+
+class InconsistencyError(Exception):
+    """An algorithm invariant failed, or the modular and brute-force routes
+    disagree: a bug in the program, not bad input."""
+
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -187,7 +194,8 @@ def partial_inverse(basis: PrimeBasis, x: int, mask: int) -> tuple[int, int]:
     if t_mask == 1:
         return 0, 1
     g, v, _ = bezout(x % t_mask, t_mask)
-    assert g == 1
+    if g != 1:
+        raise InconsistencyError(f"{x} is not a unit modulo {t_mask}")
     return (v % t_mask) * partial_identity(basis, t_mask) % basis.product, t_mask
 
 

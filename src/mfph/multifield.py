@@ -2,13 +2,18 @@
 
 One matrix with coefficients in Z/QZ, Q = q_1 * ... * q_r, is reduced so
 that its projection mod every q_s reaches column echelon form
-simultaneously.  Because a coefficient can be zero in some fields and
-invertible in others, a column can have several pivot rows, one per
-group of fields; each produces a triple (birth, death, mask) where the
-mask is the product of the primes whose fields share that pair.  The
-collection of triples, plus essentials grouped the same way, is the
-multi-field diagram: P_r entries instead of sum_s P_F(s), with every
-pair shared by all fields stored once.
+simultaneously.  The matrix is the anti-transposed coboundary matrix
+(persistent cohomology), reduced in ascending dimension with clearing:
+it pairs the same simplices as the boundary matrix (de Silva, Morozov
+and Vejdemo-Johansson, 2011) and skips almost every column that would
+need work.  The boundary matrix is reduced only when the caller keeps
+the basis for cycle reconstruction.  Because a coefficient can be zero
+in some fields and invertible in others, a column can have several
+pivot rows, one per group of fields; each produces a triple (birth,
+death, mask) where the mask is the product of the primes whose fields
+share that pair.  The collection of triples, plus essentials grouped
+the same way, is the multi-field diagram: P_r entries instead of
+sum_s P_F(s), with every pair shared by all fields stored once.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .complexes import FilteredComplex, SparseColumn, column_axpy, low_extended
-from .crt import PrimeBasis, mask_primes, partial_inverse
+from .crt import InconsistencyError, PrimeBasis, mask_primes, partial_inverse
 from .single_field import FieldDiagram
 
 __all__ = [
@@ -110,49 +115,54 @@ def reduce_multifield(
     clearing: bool = True,
     keep_basis: bool = False,
 ) -> tuple[MultiFieldDiagram, ReduceStats]:
-    """Reduce the boundary matrix over Z/QZ for all basis fields at once.
+    """Reduce the coboundary matrix over Z/QZ for all basis fields at once.
 
-    Per column j the working mask Q_S starts at Q and loses the fields
-    of every pivot the column settles on.  At each pivot row k the
-    candidate mask Q_T collects the fields of Q_S where col_j[k] is
-    nonzero; previously reduced columns registered at row k cancel their
-    share of Q_T via partial inverses, and whatever survives is recorded
-    as the triple (k, j, Q_T).  With clearing on, a column is skipped
-    only when it is the birth of finite pairs in every field.
+    Columns are those of the anti-transposed coboundary matrix (see
+    mfph.complexes), run in ascending dimension.  Per column j the
+    working mask Q_S starts at Q and loses the fields of every pivot the
+    column settles on.  At each pivot row k the candidate mask Q_T
+    collects the fields of Q_S where col_j[k] is nonzero; previously
+    reduced columns registered at row k cancel their share of Q_T via
+    partial inverses, and whatever survives is recorded as the triple
+    (m+1-j, m+1-k, Q_T).  With clearing on, a column is skipped once its
+    index is a pivot row in every field.
 
-    keep_basis retains the reduced columns and the accumulated
-    combination columns for reconstruct_cycle; it requires clearing off
-    (a skipped column has no recorded combination).
+    keep_basis reduces the boundary matrix in index order instead, and
+    retains the reduced columns and the accumulated combination columns
+    for reconstruct_cycle, which then returns cycles; it requires
+    clearing off (a skipped column has no recorded combination).  Both
+    matrices give the same triples and essentials.
+
+    Raises InconsistencyError if an invariant of the reduction fails.
     """
     if keep_basis and clearing:
         raise ValueError("keep_basis requires clearing=False")
     q_all = basis.product
     m = len(cx)
 
+    if keep_basis:
+        order, column, flip = range(1, m + 1), cx.boundary_rows, 0
+    else:
+        flip = m + 1
+        order = cx.coboundary_order() if clearing else range(1, m + 1)
+        column = lambda j: cx.coboundary_rows(flip - j)  # noqa: E731
+
     reduced: dict[int, SparseColumn] = {}
     combo: dict[int, SparseColumn] = {}
     # row -> [(column, mask, pivot coefficient)], masks pairwise coprime
     registry: dict[int, list[tuple[int, int, int]]] = {}
-    triples: list[tuple[int, int, int]] = []
-    birth_mask = [1] * (m + 1)
-    death_mask = [1] * (m + 1)
+    pivots: list[tuple[int, int, int]] = []  # (row, column, mask)
+    row_mask = [1] * (m + 1)
+    col_mask = [1] * (m + 1)
     inv_cache: dict[tuple[int, int], int] = {}
     axpy_count = 0
     pinv_count = 0
     cache_hits = 0
 
-    by_dim = cx.indices_by_dim()
-    if clearing:
-        order = [j for d in sorted(by_dim, reverse=True) for j in by_dim[d]]
-    else:
-        order = range(1, m + 1)
-
     for j in order:
-        if clearing and birth_mask[j] == q_all:
+        if clearing and row_mask[j] == q_all:
             continue
-        col = [
-            (row, 1 if sign > 0 else q_all - 1) for row, sign in cx.boundary_rows(j)
-        ]
+        col = column(j)
         vcol: SparseColumn = [(j, 1)]
         mask_s = q_all
         prev = (q_all + 1, m + 1)
@@ -160,8 +170,10 @@ def reduce_multifield(
             k = low_extended(col, mask_s)
             if k is None:
                 break
-            # each pass either shrinks the working mask or lowers the pivot
-            assert mask_s < prev[0] or k < prev[1]
+            if not (mask_s < prev[0] or k < prev[1]):
+                raise InconsistencyError(
+                    f"column {j} neither shrank its mask nor lowered its pivot {k}"
+                )
             prev = (mask_s, k)
             ck = _coeff_at(col, k)
             mask_t = mask_s // gcd(ck, mask_s)
@@ -180,7 +192,10 @@ def reduce_multifield(
                 xbar = inv_cache.get(key)
                 if xbar is None:
                     xbar, inv_mask = partial_inverse(basis, c2, mask2)
-                    assert inv_mask == mask2
+                    if inv_mask != mask2:
+                        raise InconsistencyError(
+                            f"pivot {c2} of column {j2} is not invertible on mask {mask2}"
+                        )
                     inv_cache[key] = xbar
                     pinv_count += 1
                 else:
@@ -193,10 +208,10 @@ def reduce_multifield(
                     vcol = column_axpy(vcol, alpha, combo[j2], q_all)
             if mask_t != 1:
                 ck = _coeff_at(col, k)
-                triples.append((k, j, mask_t))
+                pivots.append((k, j, mask_t))
                 registry.setdefault(k, []).append((j, mask_t, ck))
-                birth_mask[k] *= mask_t
-                death_mask[j] *= mask_t
+                row_mask[k] *= mask_t
+                col_mask[j] *= mask_t
                 mask_s //= mask_t
         if col:
             reduced[j] = col
@@ -205,11 +220,19 @@ def reduce_multifield(
 
     essentials = []
     for i in range(1, m + 1):
-        covered = birth_mask[i] * death_mask[i]
-        assert q_all % covered == 0
+        covered = row_mask[i] * col_mask[i]
+        if q_all % covered:
+            raise InconsistencyError(f"index {i} is paired twice in one field")
         if covered < q_all:
             essentials.append((i, q_all // covered))
 
+    # a pivot (row k, column j) pairs birth k with death j in the boundary
+    # matrix, and birth flip-j with death flip-k in the coboundary matrix
+    if flip:
+        triples = [(flip - j, flip - k, mask) for k, j, mask in pivots]
+        essentials = [(flip - i, mask) for i, mask in reversed(essentials)]
+    else:
+        triples = pivots
     triples.sort(key=lambda tr: (tr[0], tr[1]))
     state = ReducerState(reduced=reduced, combination=combo) if keep_basis else None
     diagram = MultiFieldDiagram(

@@ -1,10 +1,12 @@
 """Single-field persistence by left-to-right column reduction.
 
-The textbook algorithm over one prime field Z/qZ.  It is kept
-deliberately plain: it is the per-field brute-force baseline that the
-benchmark times, and the oracle the multi-field reduction is checked
-against.  Field arithmetic uses machine words with a precomputed
-inverse table for q < 2^16.
+The textbook algorithm over one prime field Z/qZ, run on the same
+anti-transposed coboundary matrix and in the same column order as the
+multi-field reduction (persistent cohomology with clearing; see
+mfph.complexes).  It is kept deliberately plain: it is the per-field
+brute-force baseline that the benchmark times, and the oracle the
+multi-field reduction is checked against.  Field arithmetic uses
+machine words with a precomputed inverse table for q < 2^16.
 """
 
 from __future__ import annotations
@@ -54,58 +56,50 @@ def _inverse_table(q: int) -> list[int]:
 def reduce_single_field(
     cx: FilteredComplex, q: int, clearing: bool = True
 ) -> tuple[FieldDiagram, int]:
-    """Reduce the boundary matrix over Z/qZ.
+    """Reduce the coboundary matrix over Z/qZ.
 
     Returns the diagram and the number of column operations performed.
-    With clearing on, columns whose index is already known to be the
-    birth of a finite pair are skipped; the resulting diagram is
-    identical either way.
+    With clearing on, columns run in ascending dimension and a column
+    whose index is already a pivot row is skipped; the resulting diagram
+    is identical either way, and equal to that of the boundary matrix.
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 2, got {q}")
-    m = len(cx)
+    m1 = len(cx) + 1
     if q < 1 << 16:
         inv_table = _inverse_table(q)
         inv = inv_table.__getitem__
     else:
         inv = lambda x: pow(x, q - 2, q)  # noqa: E731
 
-    by_dim = cx.indices_by_dim()
-    if clearing:
-        order = [j for d in sorted(by_dim, reverse=True) for j in by_dim[d]]
-    else:
-        order = range(1, m + 1)
-
+    order = cx.coboundary_order() if clearing else range(1, m1)
     pivot_owner: dict[int, int] = {}
     reduced: dict[int, list[tuple[int, int]]] = {}
-    cleared: set[int] = set()
     finite_pairs: list[tuple[int, int]] = []
     ops = 0
 
     for j in order:
-        if clearing and j in cleared:
+        if clearing and j in pivot_owner:
             continue
-        col = [(row, 1 if sign > 0 else q - 1) for row, sign in cx.boundary_rows(j)]
+        col = cx.coboundary_rows(m1 - j)
         while col:
             k, c = col[-1]
             owner = pivot_owner.get(k)
             if owner is None:
                 break
             own_col = reduced[owner]
-            alpha = (q - c * inv(own_col[-1][1]) % q) % q
+            alpha = -c * inv(own_col[-1][1] % q) % q
             col = column_axpy(col, alpha, own_col, q)
             ops += 1
         if col:
             k = col[-1][0]
             pivot_owner[k] = j
             reduced[j] = col
-            finite_pairs.append((k, j))
-            if clearing:
-                cleared.add(k)
+            finite_pairs.append((m1 - j, m1 - k))
 
     in_finite = {i for pair in finite_pairs for i in pair}
     pairs: list[tuple[int, int | None]] = list(finite_pairs)
-    pairs.extend((i, None) for i in range(1, m + 1) if i not in in_finite)
+    pairs.extend((i, None) for i in range(1, m1) if i not in in_finite)
     pairs.sort(key=lambda p: p[0])
     dims = tuple(cx.dim(i) for i, _ in pairs)
     return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims), ops

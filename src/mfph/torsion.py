@@ -14,10 +14,10 @@ recoverable from field Betti numbers and are rendered as q^*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .crt import PrimeBasis, mask_primes
 from .multifield import MultiFieldDiagram
-from .single_field import betti_at
 
 __all__ = [
     "BettiTable",
@@ -69,7 +69,9 @@ def betti_table(
     """Tabulate Betti numbers over every basis field at filtration index t.
 
     t defaults to the end of the filtration; d_max to the largest
-    dimension present in the complex.
+    dimension present in the complex.  One sweep over the triples and
+    essentials counts the classes alive at t per (dimension, mask); each
+    count then goes to every field whose prime divides the mask.
     """
     m = len(mf.index_dims)
     if t is None:
@@ -78,11 +80,26 @@ def betti_table(
         raise ValueError(f"index t must be in [0, {m}]")
     if d_max is None:
         d_max = max(mf.index_dims, default=0)
-    rows = []
-    diagrams = [mf.project(s) for s in range(1, mf.basis.r + 1)]
-    for d in range(d_max + 1):
-        rows.append(tuple(betti_at(dg, t, d) for dg in diagrams))
-    return BettiTable(basis=mf.basis, t=t, d_max=d_max, beta=tuple(rows))
+    dims = mf.index_dims
+    live: dict[tuple[int, int], int] = {}
+    for birth, death, mask in mf.triples:
+        if birth <= t < death:
+            key = (dims[birth - 1], mask)
+            live[key] = live.get(key, 0) + 1
+    for birth, mask in mf.essentials:
+        if birth <= t:
+            key = (dims[birth - 1], mask)
+            live[key] = live.get(key, 0) + 1
+    rows = [[0] * mf.basis.r for _ in range(d_max + 1)]
+    for (d, mask), count in live.items():
+        if d <= d_max:
+            row = rows[d]
+            for s, q in enumerate(mf.basis.primes):
+                if mask % q == 0:
+                    row[s] += count
+    return BettiTable(
+        basis=mf.basis, t=t, d_max=d_max, beta=tuple(tuple(row) for row in rows)
+    )
 
 
 def infer_torsion(table: BettiTable, reference: int | None = None) -> IntegralProfile:
@@ -177,19 +194,23 @@ def annotate_diagram(mf: MultiFieldDiagram) -> list[tuple[int, float, float, tup
     is the sorted union over all pairings at that location; essentials
     carry death_value = inf.  Points sort by (dim, birth, death).
     """
-    located: dict[tuple[int, float, float], set[int]] = {}
+    # masks are squarefree, so the lcm of two is the union of their primes
+    located: dict[tuple[int, float, float], int] = {}
     for birth, death, mask in mf.triples:
         key = (
             mf.index_dims[birth - 1],
             mf.index_values[birth - 1],
             mf.index_values[death - 1],
         )
-        located.setdefault(key, set()).update(mask_primes(mf.basis, mask))
+        located[key] = lcm(located.get(key, 1), mask)
     inf = float("inf")
     for birth, mask in mf.essentials:
         key = (mf.index_dims[birth - 1], mf.index_values[birth - 1], inf)
-        located.setdefault(key, set()).update(mask_primes(mf.basis, mask))
-    return [
-        (dim, bv, dv, tuple(sorted(qs)))
-        for (dim, bv, dv), qs in sorted(located.items())
-    ]
+        located[key] = lcm(located.get(key, 1), mask)
+    # naming a mask tries every basis prime, while thousands of locations
+    # in a Rips complex typically share one full mask
+    names: dict[int, tuple[int, ...]] = {}
+    for mask in located.values():
+        if mask not in names:
+            names[mask] = tuple(sorted(mask_primes(mf.basis, mask)))
+    return [(dim, bv, dv, names[mask]) for (dim, bv, dv), mask in sorted(located.items())]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import mfph.bench
 from mfph.bench import (
     BENCH_CSV_HEADER,
     WINDOW_CSV_HEADER,
@@ -55,6 +56,32 @@ def test_run_bench_both_mode():
     assert report.lambda_q_bound == lambda_bound(2)
     text = bench_text(report)
     assert "T_r" in text and "R_2" in text and "P_r = 18" in text
+
+
+def test_run_bench_times_warm_columns(monkeypatch):
+    # an untimed warm-up builds every column the timed modular route
+    # reads, and no column that clearing skips
+    filled = []
+    original = mfph.bench.reduce_multifield
+
+    def built(cx):
+        return 0 if cx._crows is None else sum(c is not None for c in cx._crows)
+
+    def spy(cx, basis, **kwargs):
+        before = built(cx)
+        result = original(cx, basis, **kwargs)
+        filled.append((before, built(cx)))
+        return result
+
+    monkeypatch.setattr(mfph.bench, "reduce_multifield", spy)
+    cx = minimal_projective_plane()
+    run_bench(cx, [2, 3], mode="both", repeats=1)
+    assert len(filled) == 2 and filled[0][0] == 0
+    before, after = filled[1]
+    assert before == filled[0][1] and after == before
+    # 6 vertices and the 10 edges left after clearing 5 of 15; triangles
+    # are top-dimensional and get no entry
+    assert after == 16
 
 
 def test_run_bench_modular_mode():

@@ -3,6 +3,7 @@
 import pytest
 
 import mfph.cli as cli
+import mfph.multifield
 from mfph.bench import InconsistencyError
 from mfph.complexes import load_filtration, save_filtration
 from mfph.generators import (
@@ -282,3 +283,19 @@ def test_projection_mismatch_exits_3(triangle_file, monkeypatch, capsys):
     code = cli.main(["reduce", "--input", triangle_file, "--mode", "both"])
     assert code == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_3(triangle_file, monkeypatch, capsys):
+    def wrong_mask(basis, x, mask):
+        return 1, 1
+
+    monkeypatch.setattr(mfph.multifield, "partial_inverse", wrong_mask)
+    code = cli.main(["reduce", "--input", triangle_file])
+    assert code == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_unsorted_primes_verify(rp2_file, capsys):
+    code = cli.main(["reduce", "--input", rp2_file, "--primes", "5,2,3", "--mode", "both"])
+    assert code == 0
+    assert "verified: all 3 projections" in capsys.readouterr().out

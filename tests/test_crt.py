@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import mfph.crt
 from mfph.crt import (
+    InconsistencyError,
     PrimeBasis,
     bezout,
     crt_combine,
@@ -142,6 +144,13 @@ def test_partial_inverse_law_exhaustive():
                     assert (x * xbar) % p == 1
                 else:
                     assert xbar % p == 0
+
+
+def test_partial_inverse_checks_bezout(monkeypatch):
+    basis = PrimeBasis.of([2, 3, 5])
+    monkeypatch.setattr(mfph.crt, "bezout", lambda a, b: (2, 0, 0))
+    with pytest.raises(InconsistencyError):
+        partial_inverse(basis, 7, 30)
 
 
 def test_word_length():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import mfph.multifield
 from mfph.complexes import boundary_column, column_axpy
-from mfph.crt import PrimeBasis
+from mfph.crt import InconsistencyError, PrimeBasis
 from mfph.multifield import (
     project_diagram,
     reconstruct_cycle,
@@ -25,7 +26,10 @@ def test_filled_triangle_triples():
     assert mf.triples == ((2, 4, 6), (3, 5, 6), (6, 7, 6))
     assert mf.essentials == ((1, 6),)
     assert mf.p_r == 4
-    assert stats.axpy_count == 0  # clearing removes the only hard column
+    # in cohomology the vertex cocolumns cancel one another: vertex 1
+    # meets the pivots of vertices 2 and 3, one axpy each, and becomes
+    # the essential class; clearing then skips the two paired edges
+    assert stats.axpy_count == 2
 
 
 def test_projections_match_single_field_runs():
@@ -189,3 +193,53 @@ def test_registry_sizes_accounting():
     sizes = mf.registry_sizes()
     assert sum(sizes.values()) == len(mf.triples)
     assert sizes[31] == 1
+
+
+def test_homology_and_cohomology_agree_on_corpus():
+    # keep_basis reduces the boundary matrix, the default the coboundary
+    rng = random.Random(2026)
+    basis = PrimeBasis.of([2, 3, 5, 7, 11])
+    for _ in range(40):
+        cx = random_small_complex(rng)
+        cohomology, _ = reduce_multifield(cx, basis)
+        homology, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
+        assert cohomology.triples == homology.triples
+        assert cohomology.essentials == homology.essentials
+
+
+def test_large_prime_matches_projection():
+    # q >= 2^16 inverts by pow() in the single-field reduction
+    rng = random.Random(67)
+    basis = PrimeBasis.of([2, 65537])
+    ops_total = 0
+    for _ in range(10):
+        cx = random_small_complex(rng)
+        mf, _ = reduce_multifield(cx, basis)
+        single, ops = reduce_single_field(cx, 65537)
+        ops_total += ops
+        assert project_diagram(mf, 2).pair_set() == single.pair_set()
+    assert ops_total > 0
+
+
+def test_prime_order_does_not_change_projections():
+    rng = random.Random(71)
+    sorted_basis = PrimeBasis.of([2, 3, 5])
+    shuffled = PrimeBasis.of([5, 2, 3])
+    for _ in range(10):
+        cx = random_small_complex(rng)
+        a, _ = reduce_multifield(cx, sorted_basis)
+        b, _ = reduce_multifield(cx, shuffled)
+        for q in (2, 3, 5):
+            assert (
+                a.project(sorted_basis.field_of(q)).pair_set()
+                == b.project(shuffled.field_of(q)).pair_set()
+            )
+
+
+def test_wrong_partial_inverse_raises(monkeypatch):
+    def wrong_mask(basis, x, mask):
+        return 1, 1
+
+    monkeypatch.setattr(mfph.multifield, "partial_inverse", wrong_mask)
+    with pytest.raises(InconsistencyError):
+        reduce_multifield(filled_triangle(), PrimeBasis.of([2, 3]))

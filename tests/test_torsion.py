@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from mfph.crt import PrimeBasis
+from mfph.crt import PrimeBasis, mask_primes
 from mfph.generators import minimal_projective_plane
 from mfph.multifield import reduce_multifield
+from mfph.single_field import betti_at
 from mfph.torsion import (
     BettiTable,
     IntegralProfile,
@@ -179,3 +180,40 @@ def test_annotate_diagram_partial_masks():
     # the torsion pair collapses onto the value-0 diagonal point whose
     # prime set is the union over all dim-1 pairings there
     assert (1, 0.0, 0.0, (2, 3)) in points
+
+
+def test_betti_table_matches_per_field_betti_at():
+    rng = random.Random(2026)
+    basis = PrimeBasis.of([5, 2, 3, 11, 7])
+    for _ in range(30):
+        cx = random_small_complex(rng)
+        mf, _ = reduce_multifield(cx, basis)
+        m = len(cx)
+        diagrams = [mf.project(s) for s in range(1, basis.r + 1)]
+        for t in sorted({0, 1, m // 3, m // 2, m - 1, m}):
+            for d_max in (None, 0, cx.max_dim + 1):
+                table = betti_table(mf, t=t, d_max=d_max)
+                top = cx.max_dim if d_max is None else d_max
+                assert table.beta == tuple(
+                    tuple(betti_at(dg, t, d) for dg in diagrams)
+                    for d in range(top + 1)
+                )
+
+
+def test_annotate_diagram_matches_per_triple_union():
+    # all-zero values stack pairs of different masks on one location
+    rng = random.Random(73)
+    basis = PrimeBasis.of([3, 2, 5])
+    corpus = [minimal_projective_plane(), klein_grid()]
+    corpus += [random_small_complex(rng) for _ in range(30)]
+    for cx in corpus:
+        mf, _ = reduce_multifield(cx, basis)
+        located = {}
+        for birth, death, mask in mf.triples:
+            key = (mf.index_dims[birth - 1], mf.index_values[birth - 1], mf.index_values[death - 1])
+            located.setdefault(key, set()).update(mask_primes(basis, mask))
+        for birth, mask in mf.essentials:
+            key = (mf.index_dims[birth - 1], mf.index_values[birth - 1], math.inf)
+            located.setdefault(key, set()).update(mask_primes(basis, mask))
+        want = [(*key, tuple(sorted(qs))) for key, qs in sorted(located.items())]
+        assert annotate_diagram(mf) == want
