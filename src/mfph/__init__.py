@@ -15,13 +15,9 @@ from .bench import (
 )
 from .complexes import (
     FilteredComplex,
-    boundary_column,
     column_axpy,
-    column_scale,
     load_filtration,
     low_extended,
-    partial_negate,
-    partial_swap,
     save_filtration,
 )
 from .crt import (
@@ -51,7 +47,6 @@ from .generators import (
 from .multifield import (
     MultiFieldDiagram,
     ReduceStats,
-    project_diagram,
     reconstruct_cycle,
     reduce_multifield,
     save_multifield_diagram,

@@ -18,8 +18,7 @@ every field at once.
 from __future__ import annotations
 
 from bisect import bisect
-
-from .crt import PrimeBasis, partial_identity
+from math import isfinite
 
 Simplex = tuple[int, ...]
 Entry = tuple[int, int]
@@ -29,13 +28,12 @@ __all__ = [
     "FilteredComplex",
     "Simplex",
     "SparseColumn",
-    "boundary_column",
     "column_axpy",
-    "column_scale",
+    "data_lines",
+    "finite_float",
+    "format_value",
     "load_filtration",
     "low_extended",
-    "partial_negate",
-    "partial_swap",
     "save_filtration",
 ]
 
@@ -57,8 +55,8 @@ class FilteredComplex:
     Built from (vertices, value) pairs; simplices are ordered by
     (value, dimension, vertex tuple) so that ties in value are broken
     deterministically, and the result is validated: faces must be
-    present, enter no later than their cofaces, and each step adds
-    exactly one simplex.
+    present, enter no later than their cofaces, each step adds exactly
+    one simplex, and every value is finite.
     """
 
     __slots__ = (
@@ -70,6 +68,9 @@ class FilteredComplex:
         pairs.sort(key=lambda p: (p[1], len(p[0]), p[0]))
         self.simplices: tuple[Simplex, ...] = tuple(p[0] for p in pairs)
         self.values: tuple[float, ...] = tuple(p[1] for p in pairs)
+        if not all(map(isfinite, self.values)):
+            verts, value = next(p for p in pairs if not isfinite(p[1]))
+            raise ValueError(f"simplex {verts} has non-finite value {value}")
         index: dict[Simplex, int] = {}
         for j, s in enumerate(self.simplices, start=1):
             if s in index:
@@ -193,12 +194,6 @@ class FilteredComplex:
         return [m1 - i for d in sorted(by_dim) for i in reversed(by_dim[d])]
 
 
-def boundary_column(cx: FilteredComplex, basis: PrimeBasis, j: int) -> SparseColumn:
-    """Boundary of simplex j as a sparse column with signs 1 and Q-1."""
-    q_all = basis.product
-    return [(row, 1 if sign > 0 else q_all - 1) for row, sign in cx.boundary_rows(j)]
-
-
 def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: int) -> SparseColumn:
     """target + alpha*source over Z/QZ; entries equal to 0 mod Q are dropped."""
     alpha %= q_all
@@ -237,19 +232,6 @@ def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: i
     return out
 
 
-def column_scale(col: SparseColumn, alpha: int, q_all: int) -> SparseColumn:
-    """alpha*col over Z/QZ, zeros dropped."""
-    alpha %= q_all
-    if alpha == 1:
-        return list(col)
-    out = []
-    for row, c in col:
-        c = c * alpha % q_all
-        if c:
-            out.append((row, c))
-    return out
-
-
 def low_extended(col: SparseColumn, mask: int) -> int | None:
     """Largest row whose coefficient is nonzero mod mask; None if no such row."""
     for row, c in reversed(col):
@@ -258,20 +240,28 @@ def low_extended(col: SparseColumn, mask: int) -> int | None:
     return None
 
 
-def partial_swap(a: SparseColumn, b: SparseColumn, basis: PrimeBasis, mask: int):
-    """Exchange the projections of two columns on the fields of the mask."""
-    q_all = basis.product
-    l_in = partial_identity(basis, mask)
-    l_out = (1 - l_in) % q_all
-    a2 = column_axpy(column_scale(a, l_out, q_all), l_in, b, q_all)
-    b2 = column_axpy(column_scale(b, l_out, q_all), l_in, a, q_all)
-    return a2, b2
+def data_lines(path):
+    """Yield (line number, whitespace-split fields) for each line of a
+    text file that is neither blank nor a '#' comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split()
+            if fields and not fields[0].startswith("#"):
+                yield lineno, fields
 
 
-def partial_negate(a: SparseColumn, basis: PrimeBasis, mask: int) -> SparseColumn:
-    """Negate the projection of a column on the fields of the mask."""
-    q_all = basis.product
-    return column_scale(a, (1 - 2 * partial_identity(basis, mask)) % q_all, q_all)
+def finite_float(text: str) -> float:
+    """float(text), rejecting NaN and +-inf with ValueError."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def format_value(v: float) -> str:
+    """A filtration value as written to files: integral values without
+    the '.0', others (inf included) as repr."""
+    return repr(int(v)) if float(v).is_integer() else repr(v)
 
 
 def load_filtration(path) -> FilteredComplex:
@@ -279,33 +269,29 @@ def load_filtration(path) -> FilteredComplex:
 
     Blank lines and lines starting with '#' are skipped.  Lines need not
     be sorted; the deterministic (value, dimension, vertices) order is
-    imposed on load and closure is validated.
+    imposed on load and closure is validated.  Values must be finite.
     """
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                dim = int(parts[0])
-                if len(parts) != dim + 3:
-                    raise ValueError(
-                        f"expected {dim + 3} fields for dimension {dim}"
-                    )
-                verts = tuple(int(p) for p in parts[1 : dim + 2])
-                value = float(parts[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad simplex line: {exc}") from None
-            items.append((verts, value))
+    for lineno, parts in data_lines(path):
+        try:
+            dim = int(parts[0])
+            if dim < 0:
+                raise ValueError(f"negative dimension {dim}")
+            if len(parts) != dim + 3:
+                raise ValueError(
+                    f"expected {dim + 3} fields for dimension {dim}"
+                )
+            verts = tuple(int(p) for p in parts[1 : dim + 2])
+            value = finite_float(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad simplex line: {exc}") from None
+        items.append((verts, value))
     if not items:
         raise ValueError(f"{path}: empty filtration")
-    return FilteredComplex(items)
-
-
-def _format_value(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(v)
+    try:
+        return FilteredComplex(items)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_filtration(cx: FilteredComplex, path, header=()) -> None:
@@ -318,5 +304,5 @@ def save_filtration(cx: FilteredComplex, path, header=()) -> None:
             fh.write(
                 f"{len(verts) - 1} "
                 + " ".join(str(v) for v in verts)
-                + f" {_format_value(cx.value(j))}\n"
+                + f" {format_value(cx.value(j))}\n"
             )

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, data_lines, finite_float
 
 __all__ = [
     "COMPLEX_PRNG",
@@ -42,51 +42,23 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def rips_filtration(
-    data, rho: float, max_dim: int, precomputed: bool = False
-) -> FilteredComplex:
-    """Vietoris-Rips filtration up to max_dim at threshold rho.
+def _flag_complex(lower: list[list[int]], weight, max_dim: int) -> FilteredComplex:
+    """Flag complex up to max_dim of a graph on vertices 0..n-1.
 
-    data is an (n, D) point array, or an (n, n) distance matrix when
-    precomputed is true.  A simplex enters at the largest pairwise
-    distance of its vertices; vertices are at value 0, and an edge
-    exists iff its length is <= rho.
+    lower[v] lists the neighbours u < v of v in ascending order, and
+    weight[u][w] (u < w) is the value of edge uw.  Vertices enter at 0
+    and every clique at the largest value among its edges.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
-    if precomputed:
-        dm = np.asarray(data, dtype=float)
-        if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
-            raise ValueError("distance matrix must be square")
-        if not np.allclose(dm, dm.T, atol=1e-9):
-            raise ValueError("distance matrix must be symmetric")
-        if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
-            raise ValueError("distance matrix must have a zero diagonal")
-    else:
-        dm = distance_matrix(data)
-    n = dm.shape[0]
-    dist = dm.tolist()
+    lower_sets = [set(nbrs) for nbrs in lower]
+    items: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(len(lower))]
 
-    # ascending lists (and sets) of rho-neighbors below each vertex, so
     # every clique is built exactly once by repeatedly prepending a
-    # smaller vertex to the current simplex
-    lower: list[list[int]] = []
-    lower_sets: list[set[int]] = []
-    for v in range(n):
-        row = dist[v]
-        nbrs = [u for u in range(v) if row[u] <= rho]
-        lower.append(nbrs)
-        lower_sets.append(set(nbrs))
-
-    items: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
-
+    # smaller common neighbour to the current simplex
     def expand(simplex: tuple[int, ...], cands: list[int], value: float) -> None:
         # simplex is ascending; cands are all below simplex[0], ascending
         for pos in range(len(cands) - 1, -1, -1):
             u = cands[pos]
-            row = dist[u]
+            row = weight[u]
             uval = max(row[w] for w in simplex)
             nval = value if value >= uval else uval
             extended = (u,) + simplex
@@ -98,10 +70,40 @@ def rips_filtration(
                     expand(extended, ncands, nval)
 
     if max_dim >= 1:
-        for v in range(n):
-            if lower[v]:
-                expand((v,), lower[v], 0.0)
+        for v, nbrs in enumerate(lower):
+            if nbrs:
+                expand((v,), nbrs, 0.0)
     return FilteredComplex(items)
+
+
+def rips_filtration(
+    data, rho: float, max_dim: int, precomputed: bool = False
+) -> FilteredComplex:
+    """Vietoris-Rips filtration up to max_dim at threshold rho.
+
+    data is an (n, D) point array, or an (n, n) distance matrix when
+    precomputed is true.  A simplex enters at the largest pairwise
+    distance of its vertices; vertices are at value 0, and an edge
+    exists iff its length is <= rho.  rho and every distance must be
+    finite.
+    """
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
+    dm = np.asarray(data, dtype=float) if precomputed else distance_matrix(data)
+    if not np.isfinite(dm).all():
+        raise ValueError("distances must be finite")
+    if precomputed:
+        if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
+            raise ValueError("distance matrix must be square")
+        if not np.allclose(dm, dm.T, atol=1e-9):
+            raise ValueError("distance matrix must be symmetric")
+        if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
+            raise ValueError("distance matrix must have a zero diagonal")
+    dist = dm.tolist()
+    lower = [[u for u in range(v) if row[u] <= rho] for v, row in enumerate(dist)]
+    return _flag_complex(lower, dist, max_dim)
 
 
 def _unrank_pair(t: int, n: int) -> tuple[int, int]:
@@ -157,39 +159,15 @@ def random_flag(n: int, m_edges: int, max_dim: int, seed: int) -> FilteredComple
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     rng = random.Random(seed)
-    edge_value: dict[tuple[int, int], float] = {}
-    for val, t in enumerate(rng.sample(range(total), m_edges), start=1):
-        edge_value[_unrank_pair(t, n)] = float(val)
-
+    weight: list[dict[int, float]] = [{} for _ in range(n)]
     lower: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in edge_value:
+    for val, t in enumerate(rng.sample(range(total), m_edges), start=1):
+        u, v = _unrank_pair(t, n)
+        weight[u][v] = float(val)
         lower[v].append(u)
     for nbrs in lower:
         nbrs.sort()
-    lower_sets = [set(nbrs) for nbrs in lower]
-
-    items: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
-
-    def expand(simplex: tuple[int, ...], cands: list[int], value: float) -> None:
-        for pos in range(len(cands) - 1, -1, -1):
-            u = cands[pos]
-            uval = max(
-                edge_value[(u, w)] for w in simplex
-            )
-            nval = value if value >= uval else uval
-            extended = (u,) + simplex
-            items.append((extended, nval))
-            if len(extended) <= max_dim:
-                usets = lower_sets[u]
-                ncands = [w for w in cands[:pos] if w in usets]
-                if ncands:
-                    expand(extended, ncands, nval)
-
-    if max_dim >= 1:
-        for v in range(n):
-            if lower[v]:
-                expand((v,), lower[v], 0.0)
-    return FilteredComplex(items)
+    return _flag_complex(lower, weight, max_dim)
 
 
 def _klein_points(params: np.ndarray) -> np.ndarray:
@@ -281,16 +259,13 @@ def save_points(points: np.ndarray, path, header=()) -> None:
 
 
 def load_points(path) -> np.ndarray:
+    """One point per line, whitespace-separated finite coordinates."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(x) for x in line.split()])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad coordinate line") from None
+    for lineno, fields in data_lines(path):
+        try:
+            rows.append([finite_float(x) for x in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad coordinate line: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no points")
     width = len(rows[0])
@@ -302,24 +277,21 @@ def load_points(path) -> np.ndarray:
 def load_distance_matrix(path) -> np.ndarray:
     """Lower-triangular text format: the k-th data line holds d(k, 0..k-1).
 
-    Blank lines (including the empty one for point 0) are skipped.
+    Blank lines (including the empty one for point 0) and '#' comments
+    are skipped; distances must be finite.
     """
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(x) for x in line.split()])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad distance line") from None
+    rows: list[tuple[int, list[float]]] = []
+    for lineno, fields in data_lines(path):
+        try:
+            rows.append((lineno, [finite_float(x) for x in fields]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad distance line: {exc}") from None
     n = len(rows) + 1
     dm = np.zeros((n, n))
-    for k, row in enumerate(rows, start=1):
+    for k, (lineno, row) in enumerate(rows, start=1):
         if len(row) != k:
             raise ValueError(
-                f"{path}: line for point {k} has {len(row)} entries, expected {k}"
+                f"{path}:{lineno}: line for point {k} has {len(row)} entries, expected {k}"
             )
         dm[k, :k] = row
         dm[:k, k] = row

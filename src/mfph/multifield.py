@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import FilteredComplex, SparseColumn, column_axpy, low_extended
+from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value, low_extended
 from .crt import InconsistencyError, PrimeBasis, mask_primes, partial_inverse
 from .single_field import FieldDiagram
 
@@ -30,14 +30,10 @@ __all__ = [
     "MultiFieldDiagram",
     "ReduceStats",
     "ReducerState",
-    "project_diagram",
     "reconstruct_cycle",
     "reduce_multifield",
     "save_multifield_diagram",
 ]
-
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class ReduceStats:
@@ -78,7 +74,10 @@ class MultiFieldDiagram:
         return len(self.triples) + len(self.essentials)
 
     def project(self, s: int) -> FieldDiagram:
-        """The single-field diagram of field s (1-based)."""
+        """The single-field diagram of field s (1-based); ValueError
+        unless 1 <= s <= r."""
+        if not 1 <= s <= self.basis.r:
+            raise ValueError(f"field index {s} out of range 1..{self.basis.r}")
         q = self.basis.primes[s - 1]
         pairs: list[tuple[int, int | None]] = [
             (i, j) for i, j, mask in self.triples if mask % q == 0
@@ -87,19 +86,6 @@ class MultiFieldDiagram:
         pairs.sort(key=lambda p: p[0])
         dims = tuple(self.index_dims[i - 1] for i, _ in pairs)
         return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims)
-
-    def registry_sizes(self) -> dict[int, int]:
-        """Number of registered pivot rows per death column j."""
-        sizes: dict[int, int] = {}
-        for _, j, _ in self.triples:
-            sizes[j] = sizes.get(j, 0) + 1
-        return sizes
-
-
-def project_diagram(mf: MultiFieldDiagram, s: int) -> FieldDiagram:
-    if not 1 <= s <= mf.basis.r:
-        raise ValueError(f"field index {s} out of range 1..{mf.basis.r}")
-    return mf.project(s)
 
 
 def _coeff_at(col: SparseColumn, row: int) -> int:
@@ -271,12 +257,6 @@ def reconstruct_cycle(mf: MultiFieldDiagram, j: int, s: int) -> list[tuple[int, 
     return [(row, c % q) for row, c in mf.state.combination[j] if c % q]
 
 
-def _fmt_value(v: float) -> str:
-    if v == _INF:
-        return "inf"
-    return repr(int(v)) if float(v).is_integer() else repr(v)
-
-
 def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:
     """Write `dim birth death birth_value death_value primes=...` lines."""
     rows: list[tuple[int, int, int | None, int]] = [
@@ -287,9 +267,9 @@ def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for dim, birth, death, mask in rows:
             primes = ",".join(str(q) for q in mask_primes(mf.basis, mask))
-            bval = _fmt_value(mf.index_values[birth - 1])
+            bval = format_value(mf.index_values[birth - 1])
             if death is None:
                 fh.write(f"{dim} {birth} inf {bval} inf primes={primes}\n")
             else:
-                dval = _fmt_value(mf.index_values[death - 1])
+                dval = format_value(mf.index_values[death - 1])
                 fh.write(f"{dim} {birth} {death} {bval} {dval} primes={primes}\n")

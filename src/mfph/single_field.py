@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FilteredComplex, column_axpy
+from .complexes import FilteredComplex, column_axpy, format_value
 from .crt import is_prime
 
 __all__ = [
@@ -22,9 +22,6 @@ __all__ = [
     "reduce_single_field",
     "save_field_diagram",
 ]
-
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class FieldDiagram:
@@ -114,12 +111,6 @@ def betti_at(diagram: FieldDiagram, t: int, d: int) -> int:
     return count
 
 
-def _fmt_value(v: float) -> str:
-    if v == _INF:
-        return "inf"
-    return repr(int(v)) if float(v).is_integer() else repr(v)
-
-
 def save_field_diagram(diagram: FieldDiagram, cx: FilteredComplex, path) -> None:
     """Write `dim birth_index death_index birth_value death_value q` lines."""
     rows = sorted(
@@ -128,8 +119,8 @@ def save_field_diagram(diagram: FieldDiagram, cx: FilteredComplex, path) -> None
     with open(path, "w", encoding="utf-8") as fh:
         for (birth, death), dim in rows:
             dstr = str(death) if death is not None else "inf"
-            dval = _fmt_value(cx.value(death)) if death is not None else "inf"
+            dval = format_value(cx.value(death)) if death is not None else "inf"
             fh.write(
-                f"{dim} {birth} {dstr} {_fmt_value(cx.value(birth))} {dval}"
+                f"{dim} {birth} {dstr} {format_value(cx.value(birth))} {dval}"
                 f" {diagram.prime}\n"
             )

@@ -28,7 +28,7 @@ from mfph.generators import (
     rips_filtration,
     sample_shape,
 )
-from mfph.multifield import project_diagram, reduce_multifield
+from mfph.multifield import reduce_multifield
 from mfph.single_field import reduce_single_field
 from mfph.torsion import annotate_diagram, betti_table, group_string, infer_torsion
 
@@ -72,7 +72,7 @@ def test_criterion_1_modular_equals_single_field_on_random_corpus(corpus):
     assert all(len(cx) <= 300 for cx, *_ in corpus)
     for cx, mf, _stats, singles in corpus:
         for s, q in enumerate(CORPUS_PRIMES, start=1):
-            assert project_diagram(mf, s).pair_set() == singles[q].pair_set()
+            assert mf.project(s).pair_set() == singles[q].pair_set()
 
 
 def test_criterion_2_crt_and_partial_inverse_laws_exhaustive():

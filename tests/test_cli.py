@@ -299,3 +299,39 @@ def test_unsorted_primes_verify(rp2_file, capsys):
     code = cli.main(["reduce", "--input", rp2_file, "--primes", "5,2,3", "--mode", "both"])
     assert code == 0
     assert "verified: all 3 projections" in capsys.readouterr().out
+
+
+# (file name, file text, command before the file, arguments after it, what
+# stderr must name); a fault on one line is named as file:line
+MALFORMED = [
+    ("nan.flt", "0 0 0\n0 1 0\n1 0 1 nan\n", ["reduce", "--input"], [], "nan.flt:3"),
+    ("inf.flt", "0 0 0\n0 1 0\n1 0 1 inf\n", ["reduce", "--input"], [], "inf.flt:3"),
+    ("negdim.flt", "0 0 0\n-1 0.5\n", ["reduce", "--input"], [], "negdim.flt:2"),
+    ("short.flt", "0 0 0\n0 1 0\n1 0 1\n", ["reduce", "--input"], [], "short.flt:3"),
+    ("vertex.flt", "0 0 0\n0 x 0\n", ["reduce", "--input"], [], "vertex.flt:2"),
+    ("dup.flt", "0 0 0\n0 0 1\n", ["torsion", "--input"], [], "dup.flt: duplicate"),
+    ("face.flt", "0 0 0\n1 0 1 1\n", ["reduce", "--input"], [], "face.flt: simplex"),
+    ("empty.flt", "", ["reduce", "--input"], [], "empty.flt: empty"),
+    ("nan.pts", "0 0\n1 nan\n", ["rips", "--points"], ["--rho", "2"], "nan.pts:2"),
+    ("row.dist", "1\n1 2 3\n", ["rips", "--distances"], ["--rho", "2"], "row.dist:2"),
+    ("inf.dist", "1\n1 inf\n", ["rips", "--distances"], ["--rho", "2"], "inf.dist:2"),
+    ("ok.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "nan"], "rho"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, command, args, where", MALFORMED, ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_input_exits_2_with_its_location(
+    tmp_path, capsys, name, text, command, args, where
+):
+    path = tmp_path / name
+    path.write_text(text)
+    if command[0] == "rips":
+        args = [*args, "--max-dim", "2", "--out", str(tmp_path / "out.flt")]
+    # an exception escaping main would fail the test with its traceback
+    code = cli.main([*command, str(path), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err
+    assert "Traceback" not in err

@@ -6,13 +6,9 @@ import pytest
 
 from mfph.complexes import (
     FilteredComplex,
-    boundary_column,
     column_axpy,
-    column_scale,
     load_filtration,
     low_extended,
-    partial_negate,
-    partial_swap,
     save_filtration,
 )
 from mfph.crt import PrimeBasis, crt_project
@@ -55,6 +51,9 @@ def test_validation_rejects_bad_complexes():
         FilteredComplex([((-1,), 0.0)])
     with pytest.raises(ValueError):
         FilteredComplex([((1,), 0.0), ((1,), 0.0)])
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="non-finite"):
+            FilteredComplex([((1,), 0.0), ((2,), 0.0), ((1, 2), float(value))])
 
 
 def test_boundary_squares_to_zero():
@@ -64,8 +63,9 @@ def test_boundary_squares_to_zero():
     cx = random_small_complex(rng)
     for j in range(1, len(cx) + 1):
         acc = []
-        for row, c in boundary_column(cx, basis, j):
-            acc = column_axpy(acc, c, boundary_column(cx, basis, row), q_all)
+        # column_axpy reads the signs +1/-1 modulo Q
+        for row, c in cx.boundary_rows(j):
+            acc = column_axpy(acc, c, cx.boundary_rows(row), q_all)
         assert acc == []
 
 
@@ -128,32 +128,6 @@ def test_low_extended_is_max_of_field_lows():
                 if field_low is not None:
                     lows.append(field_low)
             assert low_extended(col, mask) == (max(lows) if lows else None)
-
-
-def test_partial_swap_and_negate():
-    basis = PrimeBasis.of([2, 3, 5])
-    q_all = basis.product
-    a = [(1, 4), (3, 29)]
-    b = [(2, 7)]
-    a2, b2 = partial_swap(a, b, basis, 15)
-    for q in (3, 5):  # swapped fields
-        assert {r: c % q for r, c in a2 if c % q} == {2: 7 % q}
-        assert {r: c % q for r, c in b2 if c % q} == {
-            r: c % q for r, c in a if c % q
-        }
-    q = 2  # untouched field
-    assert {r: c % q for r, c in a2 if c % q} == {r: c % q for r, c in a if c % q}
-    neg = partial_negate(a, basis, 3)
-    assert {r: c % 3 for r, c in neg} == {r: -c % 3 for r, c in a if c % 3}
-    assert {r: c % 10 for r, c in neg if c % 10} == {
-        r: c % 10 for r, c in a if c % 10
-    }
-
-
-def test_column_scale_drops_zeros():
-    assert column_scale([(1, 3), (2, 5)], 10, 30) == [(2, 20)]
-    assert column_scale([(1, 3)], 0, 30) == []
-    assert column_scale([(1, 3)], 1, 30) == [(1, 3)]
 
 
 def test_filtration_file_roundtrip(tmp_path):

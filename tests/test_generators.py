@@ -101,6 +101,15 @@ def test_rips_validation():
     bad_diag = np.array([[0.5, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         rips_filtration(bad_diag, rho=1.0, max_dim=1, precomputed=True)
+    # NaN compares false with every threshold, so it would drop edges
+    for rho in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho"):
+            rips_filtration(SQUARE, rho=rho, max_dim=1)
+    with pytest.raises(ValueError, match="finite"):
+        rips_filtration(np.array([[0.0, 0.0], [np.nan, 1.0]]), rho=1.0, max_dim=1)
+    inf_dm = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        rips_filtration(inf_dm, rho=1.0, max_dim=1, precomputed=True)
 
 
 def test_rips_max_dim_zero():

@@ -5,10 +5,9 @@ import random
 import pytest
 
 import mfph.multifield
-from mfph.complexes import boundary_column, column_axpy
+from mfph.complexes import column_axpy
 from mfph.crt import InconsistencyError, PrimeBasis
 from mfph.multifield import (
-    project_diagram,
     reconstruct_cycle,
     reduce_multifield,
     save_multifield_diagram,
@@ -40,7 +39,7 @@ def test_projections_match_single_field_runs():
         mf, _ = reduce_multifield(cx, basis)
         for s, q in enumerate(basis.primes, start=1):
             single, _ = reduce_single_field(cx, q)
-            assert project_diagram(mf, s).pair_set() == single.pair_set()
+            assert mf.project(s).pair_set() == single.pair_set()
 
 
 def test_clearing_equivalence():
@@ -60,7 +59,7 @@ def test_single_prime_degenerates_to_single_field():
     basis = PrimeBasis.of([2])
     mf, _ = reduce_multifield(cx, basis)
     single, _ = reduce_single_field(cx, 2)
-    assert project_diagram(mf, 1).pair_set() == single.pair_set()
+    assert mf.project(1).pair_set() == single.pair_set()
     assert all(mask == 2 for _, _, mask in mf.triples)
     assert all(mask == 2 for _, mask in mf.essentials)
 
@@ -82,9 +81,9 @@ def test_project_diagram_validates_field_index():
     cx = filled_triangle()
     mf, _ = reduce_multifield(cx, PrimeBasis.of([2, 3]))
     with pytest.raises(ValueError):
-        project_diagram(mf, 0)
+        mf.project(0)
     with pytest.raises(ValueError):
-        project_diagram(mf, 3)
+        mf.project(3)
 
 
 def test_mask_coverage_partitions_each_field():
@@ -159,9 +158,7 @@ def test_reconstructed_cycles_satisfy_postconditions():
                 # boundary of the chain vanishes mod q
                 acc = []
                 for row, c in col:
-                    acc = column_axpy(
-                        acc, c, boundary_column(cx, basis, row), q_all
-                    )
+                    acc = column_axpy(acc, c, cx.boundary_rows(row), q_all)
                 assert all(c % q == 0 for _, c in acc)
 
 
@@ -186,15 +183,6 @@ def test_save_multifield_diagram_format(tmp_path):
     assert len(fields) == 6  # dim birth death bval dval primes=...
 
 
-def test_registry_sizes_accounting():
-    cx = minimal_projective_plane()
-    basis = PrimeBasis.of([2, 3])
-    mf, _ = reduce_multifield(cx, basis)
-    sizes = mf.registry_sizes()
-    assert sum(sizes.values()) == len(mf.triples)
-    assert sizes[31] == 1
-
-
 def test_homology_and_cohomology_agree_on_corpus():
     # keep_basis reduces the boundary matrix, the default the coboundary
     rng = random.Random(2026)
@@ -217,7 +205,7 @@ def test_large_prime_matches_projection():
         mf, _ = reduce_multifield(cx, basis)
         single, ops = reduce_single_field(cx, 65537)
         ops_total += ops
-        assert project_diagram(mf, 2).pair_set() == single.pair_set()
+        assert mf.project(2).pair_set() == single.pair_set()
     assert ops_total > 0
 
 
