@@ -115,12 +115,9 @@ def run_bench(
     InconsistencyError otherwise; timings of wrong code are never
     reported.  The baseline runs its r reductions sequentially, so the
     summed time equals the wall time.  One untimed multi-field reduction
-    runs first, so that both timed routes find cached every column they
-    read: cx builds a column on first use, and without this the first
-    timed route alone would pay for building them.  With clearing, the
-    multi-field route skips a column only once every field has, so it
-    reads every column a single-field run reads, and cleared columns
-    are never built.
+    runs first and builds every coboundary column of cx, so that both
+    timed routes find them built: without it the first timed route
+    alone would pay for the build.
     """
     if mode not in ("modular", "both"):
         raise ValueError("mode must be 'modular' or 'both'")

@@ -5,24 +5,30 @@ A filtration is stored as one simplex per step, ordered by
 anti-transposed coboundary matrix: simplex i of m is column m+1-i, and
 its rows are m+1-j for its cofacets j.  Pivots are still the largest
 row, and each pivot (row k, column c) is the persistence pair
-(m+1-c, m+1-k).  Boundary columns, whose rows are the 1-based
-filtration indices of facets, serve cycle reconstruction.  Columns are
-sorted sequences of (row, coefficient), with coefficients read modulo
-the working modulus Q: cached columns hold the signs +1/-1, and the
-reducers start from them without a copy; column_axpy writes values in
-[1, Q).  An entry that is zero modulo some of the basis primes but not
-all of them stays in the column, which is what lets one column carry
-every field at once.
+(m+1-c, m+1-k).  The matrix is the transpose of the facet table that
+validation fills, so the first reduction builds every column in one
+sweep and later ones reuse them.  Boundary columns, whose rows are the
+1-based filtration indices of facets, serve cycle reconstruction.
+Columns are sorted sequences of (row, coefficient), with coefficients
+read modulo the working modulus Q: built columns hold the signs +1/-1,
+and the reducers start from them without a copy; column_axpy writes
+values in [1, Q).  An entry that is zero modulo some of the basis
+primes but not all of them stays in the column, which is what lets one
+column carry every field at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from itertools import chain
 from math import isfinite
+
+import numpy as np
 
 Simplex = tuple[int, ...]
 Entry = tuple[int, int]
 SparseColumn = list[Entry]
+
+_VERTEX_MAX = (1 << 63) - 1  # vertex ids are matched as int64 rows of the facet table
 
 __all__ = [
     "FilteredComplex",
@@ -46,6 +52,8 @@ def _normalize_simplex(vertices) -> Simplex:
         raise ValueError(f"repeated vertex in simplex {verts}")
     if verts[0] < 0:
         raise ValueError(f"negative vertex id in simplex {verts}")
+    if verts[-1] > _VERTEX_MAX:
+        raise ValueError(f"vertex id above {_VERTEX_MAX} in simplex {verts}")
     return verts
 
 
@@ -60,7 +68,7 @@ class FilteredComplex:
     """
 
     __slots__ = (
-        "simplices", "values", "index_of", "_dims", "_brows", "_crows", "_nbrs", "_top"
+        "simplices", "values", "index_of", "dims", "_brows", "_facets", "_columns", "_order"
     )
 
     def __init__(self, items):
@@ -68,8 +76,9 @@ class FilteredComplex:
         pairs.sort(key=lambda p: (p[1], len(p[0]), p[0]))
         self.simplices: tuple[Simplex, ...] = tuple(p[0] for p in pairs)
         self.values: tuple[float, ...] = tuple(p[1] for p in pairs)
+        del pairs  # freed before the facet table allocates its numpy temporaries
         if not all(map(isfinite, self.values)):
-            verts, value = next(p for p in pairs if not isfinite(p[1]))
+            verts, value = next(p for p in zip(self.simplices, self.values) if not isfinite(p[1]))
             raise ValueError(f"simplex {verts} has non-finite value {value}")
         index: dict[Simplex, int] = {}
         for j, s in enumerate(self.simplices, start=1):
@@ -77,29 +86,55 @@ class FilteredComplex:
                 raise ValueError(f"duplicate simplex {s}")
             index[s] = j
         self.index_of: dict[Simplex, int] = index
-        self._dims: tuple[int, ...] = tuple(len(s) - 1 for s in self.simplices)
-        self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(pairs)
-        # coboundary cache and vertex neighbourhoods, built on first use
-        self._crows: list[tuple[tuple[int, int], ...] | None] | None = None
-        self._nbrs: dict[int, set[int]] = {}
-        self._top = -1
-        self._validate()
+        self.dims: tuple[int, ...] = tuple(len(s) - 1 for s in self.simplices)
+        self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.simplices)
+        self._facets = self._facet_table()
+        self._columns = self._order = None  # built from the table on first use
 
-    def _validate(self) -> None:
-        for j, verts in enumerate(self.simplices, start=1):
-            if len(verts) == 1:
-                continue
-            for i in range(len(verts)):
-                facet = verts[:i] + verts[i + 1 :]
-                fj = self.index_of.get(facet)
-                if fj is None:
-                    raise ValueError(
-                        f"simplex {verts} is missing its face {facet}"
-                    )
-                if fj >= j:
-                    raise ValueError(
-                        f"face {facet} enters after its coface {verts}"
-                    )
+    def _facet_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per dimension d >= 1: the filtration indices of the d-simplices
+        and, at [n, p], the index of the n-th one's facet without vertex p
+        (int32), found by binary search among the sorted row keys of the
+        (d-1)-simplices.  Raises ValueError for the first simplex, in
+        filtration order, with a face missing or entering after it.
+        """
+        simplices = self.simplices
+        dims = np.fromiter(self.dims, np.int64, len(simplices))
+        start = np.cumsum(dims + 1) - (dims + 1)
+        flat = np.fromiter(chain.from_iterable(simplices), np.int64, int(dims.sum()) + len(dims))
+        top = int(dims.max(initial=-1))
+        table = []
+        fault = None  # (index, facet position, missing) of the first bad simplex
+        below_keys = below_index = None  # dimension d-1, sorted by key, then a sentinel
+        for d in range(top + 1):
+            at = np.flatnonzero(dims == d)
+            verts = flat[start[at, None] + np.arange(d + 1)]
+            index = (at + 1).astype(np.int32)
+            if d:
+                facets = np.empty(verts.shape, dtype=np.int32)
+                for p in range(d + 1):
+                    key = _row_keys(np.delete(verts, p, axis=1))
+                    pos = np.searchsorted(below_keys[:-1], key)
+                    facets[:, p] = np.where(below_keys[pos] == key, below_index[pos], 0)
+                bad = (facets == 0) | (facets >= index[:, None])
+                rows = np.flatnonzero(bad.any(axis=1))
+                if rows.size and (fault is None or index[rows[0]] < fault[0]):
+                    p = int(np.argmax(bad[rows[0]]))
+                    fault = (int(index[rows[0]]), p, facets[rows[0], p] == 0)
+                table.append((index, facets))
+            keys = _row_keys(verts)
+            order = np.argsort(keys)
+            sentinel = _row_keys(np.full((1, d + 1), -1, np.int64))
+            below_keys = np.concatenate((keys[order], sentinel))
+            below_index = np.append(index[order], np.int32(0))
+        if fault is not None:
+            j, p, missing = fault
+            verts = simplices[j - 1]
+            facet = verts[:p] + verts[p + 1 :]
+            if missing:
+                raise ValueError(f"simplex {verts} is missing its face {facet}")
+            raise ValueError(f"face {facet} enters after its coface {verts}")
+        return table
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -111,18 +146,11 @@ class FilteredComplex:
         return self.values[j - 1]
 
     def dim(self, j: int) -> int:
-        return self._dims[j - 1]
+        return self.dims[j - 1]
 
     @property
     def max_dim(self) -> int:
-        return max(self._dims) if self._dims else -1
-
-    def indices_by_dim(self) -> dict[int, list[int]]:
-        """Filtration indices grouped by simplex dimension, ascending."""
-        out: dict[int, list[int]] = {}
-        for j, d in enumerate(self._dims, start=1):
-            out.setdefault(d, []).append(j)
-        return out
+        return max(self.dims) if self.dims else -1
 
     def boundary_rows(self, j: int) -> tuple[tuple[int, int], ...]:
         """Facet rows of simplex j with signs +1/-1, sorted by row; cached."""
@@ -133,65 +161,62 @@ class FilteredComplex:
         rows: list[tuple[int, int]] = []
         if len(verts) > 1:
             for i in range(len(verts)):
-                facet = verts[:i] + verts[i + 1 :]
-                row = self.index_of.get(facet)
-                if row is None:
-                    raise ValueError(
-                        f"face {facet} of simplex {verts} not in complex"
-                    )
-                rows.append((row, 1 if i % 2 == 0 else -1))
+                rows.append((self.index_of[verts[:i] + verts[i + 1 :]], 1 if i % 2 == 0 else -1))
             rows.sort()
         result = tuple(rows)
         self._brows[j - 1] = result
         return result
 
-    def coboundary_rows(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Rows of simplex i's column in the anti-transposed coboundary
-        matrix: (m+1-j, sign of i in the boundary of j) for every cofacet
-        j, sorted by row; cached, except for top-dimensional simplices,
-        whose columns are empty.
+    def coboundary_columns(self) -> list[tuple[tuple[int, int], ...]]:
+        """The anti-transposed coboundary matrix, indexed by column: entry
+        c (1..m) holds simplex m+1-c's rows (m+1-j, sign of m+1-c in the
+        boundary of j) for every cofacet j, sorted by row; entry 0 and the
+        columns of top-dimensional simplices are empty.  Built whole on
+        first use; later calls return the same list."""
+        if self._facets is not None:
+            self._build_coboundary()
+        return self._columns
 
-        A cofacet is the simplex plus one vertex adjacent to all of its
-        vertices, so candidates come from the vertex neighbourhoods and
-        are kept when the complex contains them.
-        """
-        crows = self._crows
-        if crows is None:
-            crows = self._crows = [None] * len(self.simplices)
-            nbrs = self._nbrs = {s[0]: set() for s in self.simplices if len(s) == 1}
-            for s in self.simplices:
-                if len(s) == 2:
-                    nbrs[s[0]].add(s[1])
-                    nbrs[s[1]].add(s[0])
-            self._top = self.max_dim
-        cached = crows[i - 1]
-        if cached is not None:
-            return cached
-        if self._dims[i - 1] == self._top:
-            return ()
-        nbrs = self._nbrs
-        verts = self.simplices[i - 1]
-        index_of = self.index_of
-        m1 = len(self.simplices) + 1
-        rows: list[tuple[int, int]] = []
-        for v in nbrs[verts[0]].intersection(*(nbrs[u] for u in verts[1:])):
-            pos = bisect(verts, v)
-            j = index_of.get(verts[:pos] + (v,) + verts[pos:])
-            if j is not None:
-                rows.append((m1 - j, 1 if pos % 2 == 0 else -1))
-        rows.sort()
-        result = tuple(rows)
-        crows[i - 1] = result
-        return result
-
-    def coboundary_order(self) -> list[int]:
+    def coboundary_order(self) -> tuple[int, ...]:
         """Columns of the anti-transposed coboundary matrix in clearing
         order: ascending dimension, and ascending column (descending
         simplex index) within a dimension, so every pivot row a column
-        could clear is known before that column is reached."""
+        could clear is known before that column is reached.  Built with
+        the columns; later calls return the same tuple."""
+        if self._facets is not None:
+            self._build_coboundary()
+        return self._order
+
+    def _build_coboundary(self) -> None:
+        """One sort of the facet table's entries by (column, row), then
+        drop the table.  Each row's (row, +1) and (row, -1) are one tuple
+        each, shared by every column holding them."""
         m1 = len(self.simplices) + 1
-        by_dim = self.indices_by_dim()
-        return [m1 - i for d in sorted(by_dim) for i in reversed(by_dim[d])]
+        width = 2 * m1  # an entry's code is 2*row + (1 for sign -1)
+        parts = [np.zeros(0, dtype=np.int64)]
+        entry: list[tuple[int, int] | None] = [None] * width
+        for index, facets in self._facets:
+            rows = m1 - index.astype(np.int64)
+            for r in rows.tolist():
+                entry[2 * r : 2 * r + 2] = (r, 1), (r, -1)
+            cols = m1 - facets.astype(np.int64)
+            sign = np.arange(facets.shape[1]) % 2
+            parts.append((cols * width + 2 * rows[:, None] + sign).ravel())
+        keys = np.sort(np.concatenate(parts))
+        bounds = [0] + np.cumsum(np.bincount(keys // width, minlength=m1)).tolist()
+        entries = tuple(map(entry.__getitem__, (keys % width).tolist()))
+        del parts, keys, entry
+        self._columns = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+        dims = np.array(self.dims[::-1], dtype=np.int64)
+        self._order = tuple((np.argsort(dims, kind="stable") + 1).tolist())
+        self._facets = None
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of int64 vertex ids, its bytes: keys of rows of
+    one width are equal iff the rows are, and sort in a fixed order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: int) -> SparseColumn:

@@ -85,7 +85,7 @@ def rips_filtration(
     precomputed is true.  A simplex enters at the largest pairwise
     distance of its vertices; vertices are at value 0, and an edge
     exists iff its length is <= rho.  rho and every distance must be
-    finite.
+    finite, and a precomputed distance must be >= 0.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
@@ -101,6 +101,8 @@ def rips_filtration(
             raise ValueError("distance matrix must be symmetric")
         if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
             raise ValueError("distance matrix must have a zero diagonal")
+        if (dm < 0).any():
+            raise ValueError("distances must be >= 0")
     dist = dm.tolist()
     lower = [[u for u in range(v) if row[u] <= rho] for v, row in enumerate(dist)]
     return _flag_complex(lower, dist, max_dim)
@@ -278,12 +280,15 @@ def load_distance_matrix(path) -> np.ndarray:
     """Lower-triangular text format: the k-th data line holds d(k, 0..k-1).
 
     Blank lines (including the empty one for point 0) and '#' comments
-    are skipped; distances must be finite.
+    are skipped; distances must be finite and >= 0.
     """
     rows: list[tuple[int, list[float]]] = []
     for lineno, fields in data_lines(path):
         try:
-            rows.append((lineno, [finite_float(x) for x in fields]))
+            row = [finite_float(x) for x in fields]
+            if min(row) < 0:
+                raise ValueError(f"negative distance {min(row)!r}")
+            rows.append((lineno, row))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad distance line: {exc}") from None
     n = len(rows) + 1

@@ -127,11 +127,12 @@ def reduce_multifield(
     m = len(cx)
 
     if keep_basis:
-        order, column, flip = range(1, m + 1), cx.boundary_rows, 0
+        order, flip = range(1, m + 1), 0
+        columns = [()] + [cx.boundary_rows(j) for j in order]
     else:
         flip = m + 1
         order = cx.coboundary_order() if clearing else range(1, m + 1)
-        column = lambda j: cx.coboundary_rows(flip - j)  # noqa: E731
+        columns = cx.coboundary_columns()
 
     reduced: dict[int, SparseColumn] = {}
     combo: dict[int, SparseColumn] = {}
@@ -148,7 +149,7 @@ def reduce_multifield(
     for j in order:
         if clearing and row_mask[j] == q_all:
             continue
-        col = column(j)
+        col = columns[j]
         vcol: SparseColumn = [(j, 1)]
         mask_s = q_all
         prev = (q_all + 1, m + 1)
@@ -225,8 +226,8 @@ def reduce_multifield(
         basis=basis,
         triples=tuple(triples),
         essentials=tuple(essentials),
-        index_dims=tuple(cx.dim(i) for i in range(1, m + 1)),
-        index_values=tuple(cx.value(i) for i in range(1, m + 1)),
+        index_dims=cx.dims,
+        index_values=cx.values,
         state=state,
     )
     stats = ReduceStats(

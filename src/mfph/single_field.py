@@ -70,6 +70,7 @@ def reduce_single_field(
         inv = lambda x: pow(x, q - 2, q)  # noqa: E731
 
     order = cx.coboundary_order() if clearing else range(1, m1)
+    columns = cx.coboundary_columns()
     pivot_owner: dict[int, int] = {}
     reduced: dict[int, list[tuple[int, int]]] = {}
     finite_pairs: list[tuple[int, int]] = []
@@ -78,7 +79,7 @@ def reduce_single_field(
     for j in order:
         if clearing and j in pivot_owner:
             continue
-        col = cx.coboundary_rows(m1 - j)
+        col = columns[j]
         while col:
             k, c = col[-1]
             owner = pivot_owner.get(k)
@@ -98,7 +99,7 @@ def reduce_single_field(
     pairs: list[tuple[int, int | None]] = list(finite_pairs)
     pairs.extend((i, None) for i in range(1, m1) if i not in in_finite)
     pairs.sort(key=lambda p: p[0])
-    dims = tuple(cx.dim(i) for i, _ in pairs)
+    dims = tuple(cx.dims[i - 1] for i, _ in pairs)
     return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims), ops
 
 

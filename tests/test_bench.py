@@ -59,29 +59,29 @@ def test_run_bench_both_mode():
 
 
 def test_run_bench_times_warm_columns(monkeypatch):
-    # an untimed warm-up builds every column the timed modular route
-    # reads, and no column that clearing skips
-    filled = []
+    # the untimed warm-up builds the whole coboundary matrix; the timed
+    # modular route finds that same list and builds nothing
+    seen = []
     original = mfph.bench.reduce_multifield
 
-    def built(cx):
-        return 0 if cx._crows is None else sum(c is not None for c in cx._crows)
-
     def spy(cx, basis, **kwargs):
-        before = built(cx)
+        before = cx._columns
         result = original(cx, basis, **kwargs)
-        filled.append((before, built(cx)))
+        seen.append((before, cx._columns))
         return result
 
     monkeypatch.setattr(mfph.bench, "reduce_multifield", spy)
     cx = minimal_projective_plane()
     run_bench(cx, [2, 3], mode="both", repeats=1)
-    assert len(filled) == 2 and filled[0][0] == 0
-    before, after = filled[1]
-    assert before == filled[0][1] and after == before
-    # 6 vertices and the 10 edges left after clearing 5 of 15; triangles
-    # are top-dimensional and get no entry
-    assert after == 16
+    assert len(seen) == 2
+    (cold, built), (warm, kept) = seen
+    assert cold is None and built is not None
+    assert warm is built and kept is built
+    assert cx.coboundary_columns() is built and cx._facets is None
+    # columns 1..31 plus the unused entry 0; the 10 triangles are
+    # top-dimensional and their columns empty
+    assert len(built) == 32
+    assert sum(1 for col in built if col) == 21
 
 
 def test_run_bench_modular_mode():

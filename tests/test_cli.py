@@ -311,10 +311,19 @@ MALFORMED = [
     ("vertex.flt", "0 0 0\n0 x 0\n", ["reduce", "--input"], [], "vertex.flt:2"),
     ("dup.flt", "0 0 0\n0 0 1\n", ["torsion", "--input"], [], "dup.flt: duplicate"),
     ("face.flt", "0 0 0\n1 0 1 1\n", ["reduce", "--input"], [], "face.flt: simplex"),
+    (
+        "gap.flt",
+        "0 0 0\n0 1 0\n0 2 0\n2 0 1 2 1\n",
+        ["reduce", "--input"],
+        [],
+        "gap.flt: simplex (0, 1, 2) is missing its face (1, 2)",
+    ),
+    ("bigid.flt", "0 9223372036854775808 0\n", ["reduce", "--input"], [], "bigid.flt: vertex id"),
     ("empty.flt", "", ["reduce", "--input"], [], "empty.flt: empty"),
     ("nan.pts", "0 0\n1 nan\n", ["rips", "--points"], ["--rho", "2"], "nan.pts:2"),
     ("row.dist", "1\n1 2 3\n", ["rips", "--distances"], ["--rho", "2"], "row.dist:2"),
     ("inf.dist", "1\n1 inf\n", ["rips", "--distances"], ["--rho", "2"], "inf.dist:2"),
+    ("neg.dist", "-1\n", ["rips", "--distances"], ["--rho", "2"], "neg.dist:1"),
     ("ok.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "nan"], "rho"),
 ]
 

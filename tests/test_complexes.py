@@ -12,8 +12,9 @@ from mfph.complexes import (
     save_filtration,
 )
 from mfph.crt import PrimeBasis, crt_project
+from mfph.generators import minimal_projective_plane
 
-from oracles import filled_triangle, random_small_complex
+from oracles import filled_triangle, klein_grid, random_small_complex
 
 
 def test_ordering_and_indexing():
@@ -36,7 +37,7 @@ def test_ordering_and_indexing():
     assert cx.dim(7) == 2 and cx.max_dim == 2
     assert cx.index_of[(2, 3)] == 6
     assert len(cx) == 7
-    assert cx.indices_by_dim()[1] == [4, 5, 6]
+    assert cx.dims == (0, 0, 0, 1, 1, 1, 2)
 
 
 def test_validation_rejects_bad_complexes():
@@ -54,6 +55,52 @@ def test_validation_rejects_bad_complexes():
     for value in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="non-finite"):
             FilteredComplex([((1,), 0.0), ((2,), 0.0), ((1, 2), float(value))])
+    # a gap in dimensions: the triangle's edges are missing
+    with pytest.raises(ValueError, match=r"simplex \(0, 1, 2\) is missing its face \(1, 2\)"):
+        FilteredComplex([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1, 2), 1.0)])
+    # vertex ids are matched as int64
+    with pytest.raises(ValueError, match=r"vertex id .* in simplex \(9223372036854775808,\)"):
+        FilteredComplex([((1 << 63,), 0.0)])
+    FilteredComplex([(((1 << 63) - 1,), 0.0)])
+
+
+def _reference_fault(items):
+    """The per-simplex validation loop: the message for the first
+    simplex, in filtration order, with a missing or late face."""
+    pairs = sorted(((tuple(sorted(v)), f) for v, f in items), key=lambda p: (p[1], len(p[0]), p[0]))
+    index = {s: j for j, (s, _) in enumerate(pairs, start=1)}
+    for j, (verts, _) in enumerate(pairs, start=1):
+        for i in range(len(verts) if len(verts) > 1 else 0):
+            facet = verts[:i] + verts[i + 1 :]
+            if facet not in index:
+                return f"simplex {verts} is missing its face {facet}"
+            if index[facet] >= j:
+                return f"face {facet} enters after its coface {verts}"
+    return None
+
+
+def test_validation_matches_the_reference_loop():
+    rng = random.Random(23)
+    for trial in range(120):
+        cx = random_small_complex(rng, max_simplices=120)
+        items = list(zip(cx.simplices, cx.values))
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(items))
+            if rng.random() < 0.5:
+                del items[k]  # its cofaces lose a face
+            else:
+                items[k] = (items[k][0], items[k][1] + rng.choice((0.5, 50.0)))
+        if trial % 2:
+            # sparse ids (v * 10^12 + 7): the facet match must not rely on dense ids
+            ids = {v: v * 10**12 + 7 for s, _ in items for v in s}
+            items = [(tuple(ids[v] for v in s), f) for s, f in items]
+        want = _reference_fault(items)
+        if want is None:
+            FilteredComplex(items)
+        else:
+            with pytest.raises(ValueError) as err:
+                FilteredComplex(items)
+            assert str(err.value) == want
 
 
 def test_boundary_squares_to_zero():
@@ -67,6 +114,39 @@ def test_boundary_squares_to_zero():
         for row, c in cx.boundary_rows(j):
             acc = column_axpy(acc, c, cx.boundary_rows(row), q_all)
         assert acc == []
+
+
+def _assert_coboundary_is_transposed_boundary(cx):
+    m1 = len(cx) + 1
+    want = [[] for _ in range(m1)]
+    for j in range(1, m1):
+        for row, sign in cx.boundary_rows(j):
+            want[m1 - row].append((m1 - j, sign))
+    columns = cx.coboundary_columns()
+    assert len(columns) == m1
+    for c in range(m1):
+        assert columns[c] == tuple(sorted(want[c]))
+    # ascending dimension, ascending column (descending simplex) within one
+    assert cx.coboundary_order() == tuple(sorted(range(1, m1), key=lambda c: (cx.dim(m1 - c), c)))
+    assert cx.coboundary_columns() is columns
+
+
+def test_coboundary_columns_transpose_boundary_rows():
+    _assert_coboundary_is_transposed_boundary(minimal_projective_plane())
+    _assert_coboundary_is_transposed_boundary(klein_grid())
+    _assert_coboundary_is_transposed_boundary(FilteredComplex([((7,), 0.0)]))
+    rng = random.Random(19)
+    for i in range(40):
+        cx = random_small_complex(rng)
+        _assert_coboundary_is_transposed_boundary(cx)
+        if i % 4 == 0:
+            # sparse vertex ids, up to 10^12, reorder ties and facet rows
+            vertices = sorted({v for s in cx.simplices for v in s})
+            ids = dict(zip(vertices, rng.sample(range(10**12 + 1), len(vertices))))
+            sparse = FilteredComplex(
+                (tuple(ids[v] for v in s), f) for s, f in zip(cx.simplices, cx.values)
+            )
+            _assert_coboundary_is_transposed_boundary(sparse)
 
 
 def test_column_axpy_matches_dict_model():

@@ -110,6 +110,10 @@ def test_rips_validation():
     inf_dm = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         rips_filtration(inf_dm, rho=1.0, max_dim=1, precomputed=True)
+    # a negative distance would put the edge at the vertices' value
+    neg_dm = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match=">= 0"):
+        rips_filtration(neg_dm, rho=1.0, max_dim=1, precomputed=True)
 
 
 def test_rips_max_dim_zero():

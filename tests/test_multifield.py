@@ -12,10 +12,11 @@ from mfph.multifield import (
     reduce_multifield,
     save_multifield_diagram,
 )
-from mfph.single_field import reduce_single_field
+from mfph.single_field import betti_at, reduce_single_field
 from mfph.generators import minimal_projective_plane
 
-from oracles import axpy_upper_bound, filled_triangle, random_small_complex
+from oracles import axpy_upper_bound, betti_prefix, filled_triangle, random_small_complex
+from test_acceptance import CORPUS_PRIMES, _small_flag, _small_ym
 
 
 def test_filled_triangle_triples():
@@ -193,6 +194,24 @@ def test_homology_and_cohomology_agree_on_corpus():
         homology, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
         assert cohomology.triples == homology.triples
         assert cohomology.essentials == homology.essentials
+
+
+def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
+    # the 100 filtrations of the acceptance corpus; the dense oracle
+    # reads index_of, not the coboundary columns
+    rng = random.Random(2026)
+    basis = PrimeBasis.of(CORPUS_PRIMES)
+    for i in range(100):
+        cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
+        cohomology, _ = reduce_multifield(cx, basis)
+        homology, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
+        assert cohomology.triples == homology.triples
+        assert cohomology.essentials == homology.essentials
+        m = len(cx)
+        for s, q in enumerate(basis.primes, start=1):
+            diagram = cohomology.project(s)
+            betti = [betti_at(diagram, m, d) for d in range(cx.max_dim + 1)]
+            assert betti == betti_prefix(cx, q)
 
 
 def test_large_prime_matches_projection():
