@@ -17,7 +17,6 @@ from .complexes import (
     FilteredComplex,
     column_axpy,
     load_filtration,
-    low_extended,
     save_filtration,
 )
 from .crt import (

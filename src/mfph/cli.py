@@ -193,9 +193,12 @@ def _cmd_torsion(args) -> int:
     print(torsion_report(profile))
     if args.annotate:
         print("superimposed diagram points:")
+        plists: dict[tuple[int, ...], str] = {}  # points share a few prime lists
         for dim, bval, dval, qs in annotate_diagram(mf):
             dstr = "inf" if math.isinf(dval) else f"{dval:g}"
-            plist = ",".join(str(q) for q in qs)
+            plist = plists.get(qs)
+            if plist is None:
+                plist = plists[qs] = ",".join(map(str, qs))
             print(f"  d={dim} birth={bval:g} death={dstr} primes={plist}")
     if args.csv:
         _write_lines(args.csv, torsion_csv_rows(profile))

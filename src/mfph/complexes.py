@@ -15,6 +15,13 @@ and the reducers start from them without a copy; column_axpy writes
 values in [1, Q).  An entry that is zero modulo some of the basis
 primes but not all of them stays in the column, which is what lets one
 column carry every field at once.
+
+`FilteredComplex(items)` and `load_filtration` feed one array ingest:
+it sorts each dimension's vertex rows as int64 arrays, checks ids,
+values, duplicates and faces with numpy, and orders the filtration
+with one stable sort of the values of the rows taken in (dimension,
+vertex tuple) order.  A fault names one input simplex, and the loader
+names its line.
 """
 
 from __future__ import annotations
@@ -39,22 +46,17 @@ __all__ = [
     "finite_float",
     "format_value",
     "load_filtration",
-    "low_extended",
     "save_filtration",
 ]
 
 
-def _normalize_simplex(vertices) -> Simplex:
-    verts = tuple(sorted(vertices))
-    if not verts:
-        raise ValueError("empty simplex")
-    if len(set(verts)) != len(verts):
-        raise ValueError(f"repeated vertex in simplex {verts}")
-    if verts[0] < 0:
-        raise ValueError(f"negative vertex id in simplex {verts}")
-    if verts[-1] > _VERTEX_MAX:
-        raise ValueError(f"vertex id above {_VERTEX_MAX} in simplex {verts}")
-    return verts
+class _Fault(ValueError):
+    """A ValueError about one input simplex, at position `at` (0-based)
+    in the order the simplices were given, so a loader can name its line."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.at = at
 
 
 class FilteredComplex:
@@ -72,68 +74,149 @@ class FilteredComplex:
     )
 
     def __init__(self, items):
-        pairs = [(_normalize_simplex(v), float(f)) for v, f in items]
-        pairs.sort(key=lambda p: (p[1], len(p[0]), p[0]))
-        self.simplices: tuple[Simplex, ...] = tuple(p[0] for p in pairs)
-        self.values: tuple[float, ...] = tuple(p[1] for p in pairs)
-        del pairs  # freed before the facet table allocates its numpy temporaries
-        if not all(map(isfinite, self.values)):
-            verts, value = next(p for p in zip(self.simplices, self.values) if not isfinite(p[1]))
-            raise ValueError(f"simplex {verts} has non-finite value {value}")
-        index: dict[Simplex, int] = {}
-        for j, s in enumerate(self.simplices, start=1):
-            if s in index:
-                raise ValueError(f"duplicate simplex {s}")
-            index[s] = j
-        self.index_of: dict[Simplex, int] = index
-        self.dims: tuple[int, ...] = tuple(len(s) - 1 for s in self.simplices)
-        self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.simplices)
-        self._facets = self._facet_table()
-        self._columns = self._order = None  # built from the table on first use
+        verts, values = tuple(zip(*items)) or ((), ())
+        verts = tuple(map(tuple, verts))
+        dims = np.fromiter(map(len, verts), np.int64, len(verts)) - 1
+        self._ingest(list(chain.from_iterable(verts)), dims, list(map(float, values)))
 
-    def _facet_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per dimension d >= 1: the filtration indices of the d-simplices
-        and, at [n, p], the index of the n-th one's facet without vertex p
-        (int32), found by binary search among the sorted row keys of the
-        (d-1)-simplices.  Raises ValueError for the first simplex, in
-        filtration order, with a face missing or entering after it.
+    @classmethod
+    def _from_flat(cls, flat, dims, values) -> FilteredComplex:
+        """The complex of simplex i = dims[i]+1 ids from `flat` (taken in
+        turn) entering at values[i]; faults raise _Fault with i."""
+        cx = cls.__new__(cls)
+        cx._ingest(flat, dims, values)
+        return cx
+
+    def _ingest(self, flat, dims, values) -> None:
+        """Validate and order simplices given in input order as flat vertex
+        ids, dimensions and values.  Faults are checked in this order, the
+        first of each kind named: a simplex that is empty or has a repeated,
+        negative or too large vertex id (first in input order), a
+        non-finite value (first in input order), a duplicate (first in
+        filtration order), a missing or late face (first in filtration
+        order); each raises _Fault at an input position.
         """
-        simplices = self.simplices
-        dims = np.fromiter(self.dims, np.int64, len(simplices))
+        dims = np.asarray(dims, dtype=np.int64)
+        vals = np.array(values, dtype=np.float64)
+        try:
+            ids = np.array(flat, dtype=np.int64)
+        except OverflowError:  # an id beyond int64, rejected below as too large
+            ids = np.array(flat, dtype=object)
         start = np.cumsum(dims + 1) - (dims + 1)
-        flat = np.fromiter(chain.from_iterable(simplices), np.int64, int(dims.sum()) + len(dims))
         top = int(dims.max(initial=-1))
-        table = []
-        fault = None  # (index, facet position, missing) of the first bad simplex
-        below_keys = below_index = None  # dimension d-1, sorted by key, then a sentinel
+
+        def verts_at(i):
+            return tuple(sorted(ids[start[i] : start[i] + dims[i] + 1].tolist()))
+
+        # per input simplex, 0 or the number of its first fault in `faults`
+        faults = (
+            None,
+            "repeated vertex in simplex {}",
+            "negative vertex id in simplex {}",
+            f"vertex id above {_VERTEX_MAX} in simplex {{}}",
+            "empty simplex",
+        )
+        fault = np.where(dims < 0, 4, 0)
+        rows_by_dim = []
         for d in range(top + 1):
             at = np.flatnonzero(dims == d)
-            verts = flat[start[at, None] + np.arange(d + 1)]
-            index = (at + 1).astype(np.int32)
+            rows = ids[start[at, None] + np.arange(d + 1)]
+            rows.sort(axis=1)
+            fault[at] = np.select(
+                [(rows[:, 1:] == rows[:, :-1]).any(axis=1), rows[:, 0] < 0, rows[:, -1] > _VERTEX_MAX],
+                [1, 2, 3],
+                0,
+            )
+            rows_by_dim.append((at, rows))
+        bad = np.flatnonzero(fault)
+        if bad.size:
+            i = int(bad[0])
+            raise _Fault(faults[fault[i]].format(verts_at(i)), i)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise _Fault(f"simplex {verts_at(i)} has non-finite value {values[i]}", i)
+
+        # each dimension's rows in lexicographic order, equal rows by value
+        # and then input order (the sort is stable); all dimensions in turn
+        # are the (dimension, vertex tuple) order, and a stable sort of
+        # their values is the filtration order
+        for d, (at, rows) in enumerate(rows_by_dim):
+            srt = np.lexsort((vals[at], *rows.T[::-1]))
+            rows_by_dim[d] = (at[srt], rows[srt])
+        origin = np.concatenate([at for at, _ in rows_by_dim] or [np.zeros(0, np.int64)])
+        perm = np.argsort(vals[origin], kind="stable")
+        origin = origin[perm]  # input position of each filtration index - 1
+        fidx = np.empty(len(perm), dtype=np.int32)
+        fidx[perm] = np.arange(1, len(perm) + 1, dtype=np.int32)
+        index_by_dim = []
+        dup = None  # (filtration index, simplex, input position) of the first duplicate
+        offset = 0
+        for at, rows in rows_by_dim:
+            index = fidx[offset : offset + len(rows)]
+            offset += len(rows)
+            index_by_dim.append(index)
+            # a row equal to the one before it enters after it: report the
+            # earliest such, at the later input position of the two
+            later = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1)) + 1
+            if later.size:
+                k = later[np.argmin(index[later])]
+                if dup is None or index[k] < dup[0]:
+                    dup = (index[k], tuple(rows[k].tolist()), int(max(at[k - 1], at[k])))
+        if dup is not None:
+            raise _Fault(f"duplicate simplex {dup[1]}", dup[2])
+        ranked: list[Simplex] = []
+        for _, rows in rows_by_dim:
+            ranked.extend(zip(*rows.T.tolist()))
+        self.simplices: tuple[Simplex, ...] = tuple(map(ranked.__getitem__, perm.tolist()))
+        # the caller's value objects, not copies
+        self.values: tuple[float, ...] = tuple(map(values.__getitem__, origin.tolist()))
+        self.dims: tuple[int, ...] = tuple(dims[origin].tolist())
+        self.index_of: dict[Simplex, int] = dict(zip(self.simplices, range(1, len(perm) + 1)))
+        self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(perm)
+        self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, origin)
+        self._columns = self._order = None  # built from the table on first use
+
+    def _facet_table(self, rows_by_dim, index_by_dim, origin) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per dimension d >= 1: the filtration indices of the d-simplices
+        (rows_by_dim[d], lexicographically sorted, at index_by_dim[d]) and,
+        at [n, p], the index of the n-th one's facet without vertex p
+        (int32), found by binary search among the row keys of the
+        (d-1)-simplices.  Raises _Fault for the first simplex, in
+        filtration order, with a face missing (at the simplex's input
+        position) or entering after it (at the face's).
+        """
+        table = []
+        fault = None  # (index, facet position, facet index or 0 if missing)
+        below_keys = below_index = None  # dimension d-1, then a sentinel
+        for d, (rows, index) in enumerate(zip(rows_by_dim, index_by_dim)):
+            rows = rows.astype(">i8")  # big-endian: keys sort as the rows do
             if d:
-                facets = np.empty(verts.shape, dtype=np.int32)
+                facets = np.empty(rows.shape, dtype=np.int32)
                 for p in range(d + 1):
-                    key = _row_keys(np.delete(verts, p, axis=1))
-                    pos = np.searchsorted(below_keys[:-1], key)
+                    key = _row_keys(np.delete(rows, p, axis=1))
+                    pos = np.searchsorted(below_keys, key)
                     facets[:, p] = np.where(below_keys[pos] == key, below_index[pos], 0)
                 bad = (facets == 0) | (facets >= index[:, None])
-                rows = np.flatnonzero(bad.any(axis=1))
-                if rows.size and (fault is None or index[rows[0]] < fault[0]):
-                    p = int(np.argmax(bad[rows[0]]))
-                    fault = (int(index[rows[0]]), p, facets[rows[0], p] == 0)
+                hit = np.flatnonzero(bad.any(axis=1))
+                if hit.size:
+                    n = hit[np.argmin(index[hit])]
+                    if fault is None or index[n] < fault[0]:
+                        p = int(np.argmax(bad[n]))
+                        fault = (int(index[n]), p, int(facets[n, p]))
                 table.append((index, facets))
-            keys = _row_keys(verts)
-            order = np.argsort(keys)
-            sentinel = _row_keys(np.full((1, d + 1), -1, np.int64))
-            below_keys = np.concatenate((keys[order], sentinel))
-            below_index = np.append(index[order], np.int32(0))
+            # the sentinel (all bytes 0xff) sorts after every key of
+            # non-negative ids, so a search past the last row lands on it
+            sentinel = _row_keys(np.full((1, d + 1), -1, ">i8"))
+            below_keys = np.concatenate((_row_keys(rows), sentinel))
+            below_index = np.append(index, np.int32(0))
         if fault is not None:
-            j, p, missing = fault
-            verts = simplices[j - 1]
+            j, p, face = fault
+            verts = self.simplices[j - 1]
             facet = verts[:p] + verts[p + 1 :]
-            if missing:
-                raise ValueError(f"simplex {verts} is missing its face {facet}")
-            raise ValueError(f"face {facet} enters after its coface {verts}")
+            if not face:
+                raise _Fault(f"simplex {verts} is missing its face {facet}", int(origin[j - 1]))
+            raise _Fault(f"face {facet} enters after its coface {verts}", int(origin[face - 1]))
         return table
 
     def __len__(self) -> int:
@@ -257,14 +340,6 @@ def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: i
     return out
 
 
-def low_extended(col: SparseColumn, mask: int) -> int | None:
-    """Largest row whose coefficient is nonzero mod mask; None if no such row."""
-    for row, c in reversed(col):
-        if c % mask:
-            return row
-    return None
-
-
 def data_lines(path):
     """Yield (line number, whitespace-split fields) for each line of a
     text file that is neither blank nor a '#' comment."""
@@ -295,8 +370,12 @@ def load_filtration(path) -> FilteredComplex:
     Blank lines and lines starting with '#' are skipped.  Lines need not
     be sorted; the deterministic (value, dimension, vertices) order is
     imposed on load and closure is validated.  Values must be finite.
+    Every fault that one line holds is reported as `path:lineno: ...`.
     """
-    items = []
+    flat: list[int] = []
+    dims: list[int] = []
+    values: list[float] = []
+    lines: list[int] = []
     for lineno, parts in data_lines(path):
         try:
             dim = int(parts[0])
@@ -306,17 +385,19 @@ def load_filtration(path) -> FilteredComplex:
                 raise ValueError(
                     f"expected {dim + 3} fields for dimension {dim}"
                 )
-            verts = tuple(int(p) for p in parts[1 : dim + 2])
+            flat.extend(map(int, parts[1:-1]))
             value = finite_float(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad simplex line: {exc}") from None
-        items.append((verts, value))
-    if not items:
+        dims.append(dim)
+        values.append(value)
+        lines.append(lineno)
+    if not dims:
         raise ValueError(f"{path}: empty filtration")
     try:
-        return FilteredComplex(items)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return FilteredComplex._from_flat(flat, dims, values)
+    except _Fault as exc:
+        raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from None
 
 
 def save_filtration(cx: FilteredComplex, path, header=()) -> None:

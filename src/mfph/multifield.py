@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd
 
-from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value, low_extended
+from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
 from .crt import InconsistencyError, PrimeBasis, mask_primes, partial_inverse
 from .single_field import FieldDiagram
 
@@ -110,8 +110,12 @@ def reduce_multifield(
     collects the fields of Q_S where col_j[k] is nonzero; previously
     reduced columns registered at row k cancel their share of Q_T via
     partial inverses, and whatever survives is recorded as the triple
-    (m+1-j, m+1-k, Q_T).  With clearing on, a column is skipped once its
-    index is a pivot row in every field.
+    (m+1-j, m+1-k, Q_T).  The column is done once Q_S is 1 or no entry
+    is nonzero modulo Q_S.  The search for the next pivot row continues
+    below a pivot settled without an axpy, and starts again from the
+    column's end after an axpy, so a pivot the axpys failed to cancel
+    is found again and raises.  With clearing on, a column is skipped
+    once its index is a pivot row in every field.
 
     keep_basis reduces the boundary matrix in index order instead, and
     retains the reduced columns and the accumulated combination columns
@@ -150,20 +154,25 @@ def reduce_multifield(
         if clearing and row_mask[j] == q_all:
             continue
         col = columns[j]
-        vcol: SparseColumn = [(j, 1)]
+        vcol: SparseColumn | None = [(j, 1)] if keep_basis else None
         mask_s = q_all
         prev = (q_all + 1, m + 1)
-        while True:
-            k = low_extended(col, mask_s)
-            if k is None:
+        # the pivot row on mask_s is the last entry nonzero mod mask_s
+        pos = len(col)
+        while mask_s > 1:
+            pos -= 1
+            while pos >= 0 and not col[pos][1] % mask_s:
+                pos -= 1
+            if pos < 0:
                 break
+            k, ck = col[pos]
             if not (mask_s < prev[0] or k < prev[1]):
                 raise InconsistencyError(
                     f"column {j} neither shrank its mask nor lowered its pivot {k}"
                 )
             prev = (mask_s, k)
-            ck = _coeff_at(col, k)
             mask_t = mask_s // gcd(ck, mask_s)
+            changed = False
             while mask_t > 1:
                 hit = None
                 for entry in registry.get(k, ()):
@@ -187,19 +196,24 @@ def reduce_multifield(
                     pinv_count += 1
                 else:
                     cache_hits += 1
-                ck = _coeff_at(col, k)
+                if changed:
+                    ck = _coeff_at(col, k)
                 alpha = -ck * xbar % q_all
                 col = column_axpy(col, alpha, reduced[j2], q_all)
                 axpy_count += 1
+                changed = True
                 if keep_basis:
                     vcol = column_axpy(vcol, alpha, combo[j2], q_all)
             if mask_t != 1:
-                ck = _coeff_at(col, k)
+                if changed:
+                    ck = _coeff_at(col, k)
                 pivots.append((k, j, mask_t))
                 registry.setdefault(k, []).append((j, mask_t, ck))
                 row_mask[k] *= mask_t
                 col_mask[j] *= mask_t
                 mask_s //= mask_t
+            if changed:
+                pos = len(col)
         if col:
             reduced[j] = col
         if keep_basis:

@@ -181,7 +181,8 @@ def test_torsion_report(rp2_file, tmp_path, capsys):
     assert "H_1 = Z/2^*Z" in stdout
     assert "H_2 = 0" in stdout
     assert "superimposed diagram points:" in stdout
-    assert "d=1 birth=0 death=inf primes=2" in stdout
+    assert "d=1 birth=0 death=inf primes=2\n" in stdout
+    assert "d=0 birth=0 death=inf primes=2,3,5\n" in stdout
     rows = csv.read_text().strip().splitlines()
     assert rows[0] == "t,d,beta_Z,q,t_d_q"
     assert "31,1,0,2,1" in rows
@@ -295,6 +296,13 @@ def test_broken_invariant_exits_3(triangle_file, monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
+def test_axpy_that_cancels_nothing_exits_3(rp2_file, monkeypatch, capsys):
+    monkeypatch.setattr(mfph.multifield, "column_axpy", lambda target, alpha, source, q_all: target)
+    code = cli.main(["reduce", "--input", rp2_file])
+    assert code == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
 def test_unsorted_primes_verify(rp2_file, capsys):
     code = cli.main(["reduce", "--input", rp2_file, "--primes", "5,2,3", "--mode", "both"])
     assert code == 0
@@ -309,16 +317,34 @@ MALFORMED = [
     ("negdim.flt", "0 0 0\n-1 0.5\n", ["reduce", "--input"], [], "negdim.flt:2"),
     ("short.flt", "0 0 0\n0 1 0\n1 0 1\n", ["reduce", "--input"], [], "short.flt:3"),
     ("vertex.flt", "0 0 0\n0 x 0\n", ["reduce", "--input"], [], "vertex.flt:2"),
-    ("dup.flt", "0 0 0\n0 0 1\n", ["torsion", "--input"], [], "dup.flt: duplicate"),
-    ("face.flt", "0 0 0\n1 0 1 1\n", ["reduce", "--input"], [], "face.flt: simplex"),
+    # a duplicate is named at its later line, a late face at the face's line
+    ("dup.flt", "0 0 0\n0 0 1\n", ["torsion", "--input"], [], "dup.flt:2: duplicate"),
+    ("face.flt", "0 0 0\n1 0 1 1\n", ["reduce", "--input"], [], "face.flt:2: simplex"),
+    (
+        "late.flt",
+        "0 0 0\n1 0 1 0.5\n0 1 0.9\n",
+        ["reduce", "--input"],
+        [],
+        "late.flt:3: face (1,) enters after its coface (0, 1)",
+    ),
     (
         "gap.flt",
         "0 0 0\n0 1 0\n0 2 0\n2 0 1 2 1\n",
         ["reduce", "--input"],
         [],
-        "gap.flt: simplex (0, 1, 2) is missing its face (1, 2)",
+        "gap.flt:4: simplex (0, 1, 2) is missing its face (1, 2)",
     ),
-    ("bigid.flt", "0 9223372036854775808 0\n", ["reduce", "--input"], [], "bigid.flt: vertex id"),
+    ("bigid.flt", "0 9223372036854775808 0\n", ["reduce", "--input"], [], "bigid.flt:1: vertex id"),
+    ("repeat.flt", "1 3 3 0.5\n", ["reduce", "--input"], [], "repeat.flt:1: repeated vertex"),
+    # of two bad lines the first in the file is named, though the second
+    # one's simplex comes first in filtration order
+    (
+        "twobad.flt",
+        "0 0 0\n0 1 0\n1 7 7 2\n1 -1 0 0.5\n",
+        ["reduce", "--input"],
+        [],
+        "twobad.flt:3: repeated vertex in simplex (7, 7)",
+    ),
     ("empty.flt", "", ["reduce", "--input"], [], "empty.flt: empty"),
     ("nan.pts", "0 0\n1 nan\n", ["rips", "--points"], ["--rho", "2"], "nan.pts:2"),
     ("row.dist", "1\n1 2 3\n", ["rips", "--distances"], ["--rho", "2"], "row.dist:2"),

@@ -8,7 +8,6 @@ from mfph.complexes import (
     FilteredComplex,
     column_axpy,
     load_filtration,
-    low_extended,
     save_filtration,
 )
 from mfph.crt import PrimeBasis, crt_project
@@ -62,45 +61,162 @@ def test_validation_rejects_bad_complexes():
     with pytest.raises(ValueError, match=r"vertex id .* in simplex \(9223372036854775808,\)"):
         FilteredComplex([((1 << 63,), 0.0)])
     FilteredComplex([(((1 << 63) - 1,), 0.0)])
+    # of two duplicated simplices, the one whose second copy enters first
+    # is named, whatever the input order of the copies
+    with pytest.raises(ValueError, match=r"^duplicate simplex \(1,\)$"):
+        FilteredComplex([((0,), 3.0), ((1,), 1.0), ((0,), 0.0), ((1,), 2.0)])
 
 
 def _reference_fault(items):
-    """The per-simplex validation loop: the message for the first
-    simplex, in filtration order, with a missing or late face."""
-    pairs = sorted(((tuple(sorted(v)), f) for v, f in items), key=lambda p: (p[1], len(p[0]), p[0]))
-    index = {s: j for j, (s, _) in enumerate(pairs, start=1)}
-    for j, (verts, _) in enumerate(pairs, start=1):
-        for i in range(len(verts) if len(verts) > 1 else 0):
-            facet = verts[:i] + verts[i + 1 :]
+    """The per-simplex validation the array ingest replaced: the message
+    of the first fault and the input position of the simplex a loader
+    names (the later of the first two copies of a duplicate, the face of
+    a late face), or None.  Faults of single simplices come first, in
+    input order, then duplicates and faces, in filtration order."""
+    for i, (v, _) in enumerate(items):
+        verts = tuple(sorted(v))
+        if len(set(verts)) != len(verts):
+            return f"repeated vertex in simplex {verts}", i
+        if verts[0] < 0:
+            return f"negative vertex id in simplex {verts}", i
+        if verts[-1] > (1 << 63) - 1:
+            return f"vertex id above {(1 << 63) - 1} in simplex {verts}", i
+    pairs = sorted(
+        ((tuple(sorted(v)), f, i) for i, (v, f) in enumerate(items)),
+        key=lambda p: (p[1], len(p[0]), p[0]),
+    )
+    index = {}
+    for j, (verts, _, i) in enumerate(pairs, start=1):
+        if verts in index:
+            copies = sorted((f, k) for k, (v, f) in enumerate(items) if tuple(sorted(v)) == verts)
+            return f"duplicate simplex {verts}", max(copies[0][1], copies[1][1])
+        index[verts] = (j, i)
+    for j, (verts, _, i) in enumerate(pairs, start=1):
+        for p in range(len(verts) if len(verts) > 1 else 0):
+            facet = verts[:p] + verts[p + 1 :]
             if facet not in index:
-                return f"simplex {verts} is missing its face {facet}"
-            if index[facet] >= j:
-                return f"face {facet} enters after its coface {verts}"
+                return f"simplex {verts} is missing its face {facet}", i
+            if index[facet][0] >= j:
+                return f"face {facet} enters after its coface {verts}", index[facet][1]
     return None
 
 
-def test_validation_matches_the_reference_loop():
+def _corrupt(rng, items):
+    """Apply one random fault to a list of (vertices, value) items."""
+    k = rng.randrange(len(items))
+    verts, value = items[k]
+    kind = rng.randrange(6)
+    if kind == 0:
+        del items[k]  # its cofaces lose a face
+    elif kind == 1:
+        items[k] = (verts, value + rng.choice((0.5, 50.0)))  # may enter late
+    elif kind == 2 and len(verts) > 1:
+        items[k] = ((verts[-1],) + verts[1:], value)  # a repeated vertex
+    elif kind == 3:
+        items[k] = (verts[:-1] + (-1 - verts[-1],), value)  # a negative id
+    elif kind == 4:
+        items.insert(rng.randrange(len(items) + 1), (verts, value + rng.choice((0.0, 0.5))))
+    elif kind == 5 and rng.random() < 0.2:
+        items[k] = (verts[:-1] + (1 << 63,), value)  # too large for int64
+
+
+def test_validation_matches_the_reference_loop(tmp_path):
     rng = random.Random(23)
-    for trial in range(120):
+    path = tmp_path / "faulty.flt"
+    for trial in range(240):
         cx = random_small_complex(rng, max_simplices=120)
         items = list(zip(cx.simplices, cx.values))
         for _ in range(rng.randint(0, 3)):
-            k = rng.randrange(len(items))
-            if rng.random() < 0.5:
-                del items[k]  # its cofaces lose a face
-            else:
-                items[k] = (items[k][0], items[k][1] + rng.choice((0.5, 50.0)))
+            _corrupt(rng, items)
         if trial % 2:
             # sparse ids (v * 10^12 + 7): the facet match must not rely on dense ids
-            ids = {v: v * 10**12 + 7 for s, _ in items for v in s}
+            ids = {v: v * 10**12 + 7 if 0 <= v < 1 << 63 else v for s, _ in items for v in s}
             items = [(tuple(ids[v] for v in s), f) for s, f in items]
+        # one line per item, in input order
+        path.write_text("".join(f"{len(s) - 1} {' '.join(map(str, s))} {f!r}\n" for s, f in items))
         want = _reference_fault(items)
         if want is None:
+            assert load_filtration(path).simplices == FilteredComplex(items).simplices
+            continue
+        message, at = want
+        with pytest.raises(ValueError) as err:
             FilteredComplex(items)
-        else:
-            with pytest.raises(ValueError) as err:
-                FilteredComplex(items)
-            assert str(err.value) == want
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            load_filtration(path)
+        assert str(err.value) == f"{path}:{at + 1}: {message}"
+
+
+def _reference_order(items):
+    """The tuple-key sort the array ingest replaced: (simplices, values)."""
+    pairs = sorted(
+        ((tuple(sorted(v)), float(f)) for v, f in items), key=lambda p: (p[1], len(p[0]), p[0])
+    )
+    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+
+
+def _assert_same_complex(a, b):
+    assert a.simplices == b.simplices
+    assert list(map(repr, a.values)) == list(map(repr, b.values))  # the sign of -0.0 too
+    assert a.dims == b.dims
+    assert a.index_of == b.index_of
+    assert a.coboundary_columns() == b.coboundary_columns()
+    assert a.coboundary_order() == b.coboundary_order()
+
+
+def _assert_matches_reference(cx, items):
+    simplices, values = _reference_order(items)
+    assert cx.simplices == simplices
+    assert list(map(repr, cx.values)) == list(map(repr, values))
+    assert cx.dims == tuple(len(s) - 1 for s in simplices)
+    assert cx.index_of == {s: j for j, s in enumerate(simplices, start=1)}
+    _assert_coboundary_is_transposed_boundary(cx)
+
+
+def test_loaded_file_equals_items_path(tmp_path):
+    # shuffled lines and vertices, comments and blank lines between them,
+    # tabs, runs of spaces and CRLF line ends
+    rng = random.Random(29)
+    path = tmp_path / "messy.flt"
+    for _ in range(20):
+        cx = random_small_complex(rng)
+        items = list(zip(cx.simplices, cx.values))
+        lines = [
+            " ".join([str(len(s) - 1), *map(str, rng.sample(s, len(s))), repr(f)]) for s, f in items
+        ]
+        rng.shuffle(lines)
+        text = ""
+        for line in lines:
+            line = "".join(rng.choice((" ", "  ", "\t", " \t ")) if c == " " else c for c in line)
+            text += line + rng.choice(("\n", "\r\n", "\n\n", "\n# a comment\n", "\r\n \t\r\n"))
+        path.write_bytes(text.encode())
+        _assert_same_complex(load_filtration(path), FilteredComplex(items))
+
+
+def test_loader_reads_tokens_as_int_and_float(tmp_path):
+    path = tmp_path / "tokens.flt"
+    path.write_text("0 +1 0\n0 1_0 +0.0\n1 +1 1_0 1e0\n")
+    _assert_same_complex(
+        load_filtration(path), FilteredComplex([((1,), 0.0), ((10,), 0.0), ((1, 10), 1.0)])
+    )
+
+
+def test_items_path_matches_the_tuple_sort():
+    rng = random.Random(31)
+    for _ in range(30):
+        cx = random_small_complex(rng)
+        # sparse ids (v * 10^12 + 7), vertices and items in random order
+        items = [
+            (tuple(v * 10**12 + 7 for v in rng.sample(s, len(s))), f)
+            for s, f in zip(cx.simplices, cx.values)
+        ]
+        rng.shuffle(items)
+        _assert_matches_reference(FilteredComplex(items), items)
+    # -0.0 ties with 0.0 and keeps its sign
+    items = [((1,), 0.0), ((0,), -0.0), ((2,), -0.0), ((0, 1), -0.0), ((1, 2), 0.0), ((0, 2), 0.5)]
+    cx = FilteredComplex(items)
+    _assert_matches_reference(cx, items)
+    assert [repr(v) for v in cx.values] == ["-0.0", "0.0", "-0.0", "-0.0", "0.0", "0.5"]
 
 
 def test_boundary_squares_to_zero():
@@ -188,26 +304,6 @@ def test_axpy_commutes_with_projection():
                 r: c for r, c in proj.items() if c
             }
             assert crt_project(basis, alpha, s) == alpha % q
-
-
-def test_low_extended_is_max_of_field_lows():
-    basis = PrimeBasis.of([2, 3, 5])
-    q_all = basis.product
-    rng = random.Random(17)
-    for _ in range(200):
-        rows = sorted(rng.sample(range(1, 25), rng.randint(1, 10)))
-        col = [(r, rng.randrange(1, q_all)) for r in rows]
-        for mask in (2, 3, 5, 6, 15, 30):
-            lows = []
-            for q in (2, 3, 5):
-                if mask % q:
-                    continue
-                field_low = max(
-                    (r for r, c in col if c % q), default=None
-                )
-                if field_low is not None:
-                    lows.append(field_low)
-            assert low_extended(col, mask) == (max(lows) if lows else None)
 
 
 def test_filtration_file_roundtrip(tmp_path):

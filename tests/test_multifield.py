@@ -214,6 +214,31 @@ def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
             assert betti == betti_prefix(cx, q)
 
 
+def test_op_counts_on_acceptance_corpus_are_pinned():
+    # totals over the 100 acceptance-corpus filtrations; the column loop
+    # may scan less, but it must do exactly this arithmetic
+    rng = random.Random(2026)
+    basis = PrimeBasis.of(CORPUS_PRIMES)
+    runs = {
+        "cohomology": {},
+        "no clearing": {"clearing": False},
+        "homology": {"clearing": False, "keep_basis": True},
+    }
+    totals = {name: [0, 0, 0] for name in runs}
+    for i in range(100):
+        cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
+        for name, options in runs.items():
+            _, stats = reduce_multifield(cx, basis, **options)
+            totals[name][0] += stats.axpy_count
+            totals[name][1] += stats.partial_inverse_count
+            totals[name][2] += stats.cache_hits
+    assert totals == {
+        "cohomology": [1077, 183, 894],
+        "no clearing": [3381, 212, 3169],
+        "homology": [4127, 189, 3938],
+    }
+
+
 def test_large_prime_matches_projection():
     # q >= 2^16 inverts by pow() in the single-field reduction
     rng = random.Random(67)
@@ -250,3 +275,11 @@ def test_wrong_partial_inverse_raises(monkeypatch):
     monkeypatch.setattr(mfph.multifield, "partial_inverse", wrong_mask)
     with pytest.raises(InconsistencyError):
         reduce_multifield(filled_triangle(), PrimeBasis.of([2, 3]))
+
+
+def test_axpy_that_cancels_nothing_raises(monkeypatch):
+    # the column keeps its low on the same mask after the axpy, which the
+    # loop's rescan from the column's end must catch
+    monkeypatch.setattr(mfph.multifield, "column_axpy", lambda target, alpha, source, q_all: target)
+    with pytest.raises(InconsistencyError, match="neither shrank its mask nor lowered its pivot"):
+        reduce_multifield(minimal_projective_plane(), PrimeBasis.of([2, 3]))
