@@ -46,7 +46,6 @@ from .generators import (
 from .multifield import (
     MultiFieldDiagram,
     ReduceStats,
-    reconstruct_cycle,
     reduce_multifield,
     save_multifield_diagram,
 )

@@ -275,6 +275,8 @@ def torsion_window(
         raise ValueError("n must be >= 4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(c_star):
+        raise ValueError(f"c_star must be finite, got {c_star}")
     if m_max is None:
         m_max = math.comb(n, 3)
     if not 1 <= m_max <= math.comb(n, 3):

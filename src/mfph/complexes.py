@@ -7,14 +7,14 @@ its rows are m+1-j for its cofacets j.  Pivots are still the largest
 row, and each pivot (row k, column c) is the persistence pair
 (m+1-c, m+1-k).  The matrix is the transpose of the facet table that
 validation fills, so the first reduction builds every column in one
-sweep and later ones reuse them.  Boundary columns, whose rows are the
-1-based filtration indices of facets, serve cycle reconstruction.
-Columns are sorted sequences of (row, coefficient), with coefficients
-read modulo the working modulus Q: built columns hold the signs +1/-1,
-and the reducers start from them without a copy; column_axpy writes
-values in [1, Q).  An entry that is zero modulo some of the basis
-primes but not all of them stays in the column, which is what lets one
-column carry every field at once.
+sweep and later ones reuse them.  Columns are sorted sequences of
+(row, coefficient), with coefficients read modulo the working modulus
+Q: built columns hold the signs +1/-1, and the reducers start from them
+without a copy; column_axpy writes values in [1, Q).  An entry that is
+zero modulo some of the basis primes but not all of them stays in the
+column, which is what lets one column carry every field at once.
+boundary_rows gives one simplex's facet rows straight from index_of,
+uncached, for checks against the coboundary columns.
 
 `FilteredComplex(items)` and `load_filtration` feed one array ingest:
 it sorts each dimension's vertex rows as int64 arrays, checks ids,
@@ -70,7 +70,7 @@ class FilteredComplex:
     """
 
     __slots__ = (
-        "simplices", "values", "index_of", "dims", "_brows", "_facets", "_columns", "_order"
+        "simplices", "values", "index_of", "dims", "_facets", "_columns", "_order"
     )
 
     def __init__(self, items):
@@ -173,7 +173,6 @@ class FilteredComplex:
         self.values: tuple[float, ...] = tuple(map(values.__getitem__, origin.tolist()))
         self.dims: tuple[int, ...] = tuple(dims[origin].tolist())
         self.index_of: dict[Simplex, int] = dict(zip(self.simplices, range(1, len(perm) + 1)))
-        self._brows: list[tuple[tuple[int, int], ...] | None] = [None] * len(perm)
         self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, origin)
         self._columns = self._order = None  # built from the table on first use
 
@@ -236,19 +235,14 @@ class FilteredComplex:
         return max(self.dims) if self.dims else -1
 
     def boundary_rows(self, j: int) -> tuple[tuple[int, int], ...]:
-        """Facet rows of simplex j with signs +1/-1, sorted by row; cached."""
-        cached = self._brows[j - 1]
-        if cached is not None:
-            return cached
+        """Facet rows of simplex j with signs +1/-1, sorted by row."""
         verts = self.simplices[j - 1]
         rows: list[tuple[int, int]] = []
         if len(verts) > 1:
             for i in range(len(verts)):
                 rows.append((self.index_of[verts[:i] + verts[i + 1 :]], 1 if i % 2 == 0 else -1))
             rows.sort()
-        result = tuple(rows)
-        self._brows[j - 1] = result
-        return result
+        return tuple(rows)
 
     def coboundary_columns(self) -> list[tuple[tuple[int, int], ...]]:
         """The anti-transposed coboundary matrix, indexed by column: entry

@@ -6,20 +6,20 @@ simultaneously.  The matrix is the anti-transposed coboundary matrix
 (persistent cohomology), reduced in ascending dimension with clearing:
 it pairs the same simplices as the boundary matrix (de Silva, Morozov
 and Vejdemo-Johansson, 2011) and skips almost every column that would
-need work.  The boundary matrix is reduced only when the caller keeps
-the basis for cycle reconstruction.  Because a coefficient can be zero
-in some fields and invertible in others, a column can have several
-pivot rows, one per group of fields; each produces a triple (birth,
-death, mask) where the mask is the product of the primes whose fields
-share that pair.  The collection of triples, plus essentials grouped
-the same way, is the multi-field diagram: P_r entries instead of
-sum_s P_F(s), with every pair shared by all fields stored once.
+need work.  Because a coefficient can be zero in some fields and
+invertible in others, a column can have several pivot rows, one per
+group of fields; each produces a triple (birth, death, mask) where the
+mask is the product of the primes whose fields share that pair.  The
+collection of triples, plus essentials grouped the same way, is the
+multi-field diagram: P_r entries instead of sum_s P_F(s), with every
+pair shared by all fields stored once.  It holds pairs, not
+representative cycles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
@@ -29,8 +29,6 @@ from .single_field import FieldDiagram
 __all__ = [
     "MultiFieldDiagram",
     "ReduceStats",
-    "ReducerState",
-    "reconstruct_cycle",
     "reduce_multifield",
     "save_multifield_diagram",
 ]
@@ -42,14 +40,6 @@ class ReduceStats:
     axpy_count: int
     partial_inverse_count: int
     cache_hits: int
-
-
-@dataclass(frozen=True)
-class ReducerState:
-    """Retained columns for cycle reconstruction (keep_basis=True runs)."""
-
-    reduced: dict[int, SparseColumn]
-    combination: dict[int, SparseColumn]
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,6 @@ class MultiFieldDiagram:
     essentials: tuple[tuple[int, int], ...]
     index_dims: tuple[int, ...]
     index_values: tuple[float, ...]
-    state: ReducerState | None = field(default=None, repr=False, compare=False)
 
     @property
     def p_r(self) -> int:
@@ -99,7 +88,6 @@ def reduce_multifield(
     cx: FilteredComplex,
     basis: PrimeBasis,
     clearing: bool = True,
-    keep_basis: bool = False,
 ) -> tuple[MultiFieldDiagram, ReduceStats]:
     """Reduce the coboundary matrix over Z/QZ for all basis fields at once.
 
@@ -114,32 +102,18 @@ def reduce_multifield(
     is nonzero modulo Q_S.  The search for the next pivot row continues
     below a pivot settled without an axpy, and starts again from the
     column's end after an axpy, so a pivot the axpys failed to cancel
-    is found again and raises.  With clearing on, a column is skipped
-    once its index is a pivot row in every field.
-
-    keep_basis reduces the boundary matrix in index order instead, and
-    retains the reduced columns and the accumulated combination columns
-    for reconstruct_cycle, which then returns cycles; it requires
-    clearing off (a skipped column has no recorded combination).  Both
-    matrices give the same triples and essentials.
+    is found again and raises.  With clearing on, columns run in
+    cx.coboundary_order() and a column is skipped once its index is a
+    pivot row in every field; with clearing off they run in index order.
 
     Raises InconsistencyError if an invariant of the reduction fails.
     """
-    if keep_basis and clearing:
-        raise ValueError("keep_basis requires clearing=False")
     q_all = basis.product
     m = len(cx)
-
-    if keep_basis:
-        order, flip = range(1, m + 1), 0
-        columns = [()] + [cx.boundary_rows(j) for j in order]
-    else:
-        flip = m + 1
-        order = cx.coboundary_order() if clearing else range(1, m + 1)
-        columns = cx.coboundary_columns()
+    order = cx.coboundary_order() if clearing else range(1, m + 1)
+    columns = cx.coboundary_columns()
 
     reduced: dict[int, SparseColumn] = {}
-    combo: dict[int, SparseColumn] = {}
     # row -> [(column, mask, pivot coefficient)], masks pairwise coprime
     registry: dict[int, list[tuple[int, int, int]]] = {}
     pivots: list[tuple[int, int, int]] = []  # (row, column, mask)
@@ -154,7 +128,6 @@ def reduce_multifield(
         if clearing and row_mask[j] == q_all:
             continue
         col = columns[j]
-        vcol: SparseColumn | None = [(j, 1)] if keep_basis else None
         mask_s = q_all
         prev = (q_all + 1, m + 1)
         # the pivot row on mask_s is the last entry nonzero mod mask_s
@@ -202,8 +175,6 @@ def reduce_multifield(
                 col = column_axpy(col, alpha, reduced[j2], q_all)
                 axpy_count += 1
                 changed = True
-                if keep_basis:
-                    vcol = column_axpy(vcol, alpha, combo[j2], q_all)
             if mask_t != 1:
                 if changed:
                     ck = _coeff_at(col, k)
@@ -216,8 +187,6 @@ def reduce_multifield(
                 pos = len(col)
         if col:
             reduced[j] = col
-        if keep_basis:
-            combo[j] = vcol
 
     essentials = []
     for i in range(1, m + 1):
@@ -227,22 +196,17 @@ def reduce_multifield(
         if covered < q_all:
             essentials.append((i, q_all // covered))
 
-    # a pivot (row k, column j) pairs birth k with death j in the boundary
-    # matrix, and birth flip-j with death flip-k in the coboundary matrix
-    if flip:
-        triples = [(flip - j, flip - k, mask) for k, j, mask in pivots]
-        essentials = [(flip - i, mask) for i, mask in reversed(essentials)]
-    else:
-        triples = pivots
+    # a pivot (row k, column j) of the anti-transposed coboundary matrix
+    # pairs birth m+1-j with death m+1-k
+    triples = [(m + 1 - j, m + 1 - k, mask) for k, j, mask in pivots]
     triples.sort(key=lambda tr: (tr[0], tr[1]))
-    state = ReducerState(reduced=reduced, combination=combo) if keep_basis else None
+    essentials = [(m + 1 - i, mask) for i, mask in reversed(essentials)]
     diagram = MultiFieldDiagram(
         basis=basis,
         triples=tuple(triples),
         essentials=tuple(essentials),
         index_dims=cx.dims,
         index_values=cx.values,
-        state=state,
     )
     stats = ReduceStats(
         axpy_count=axpy_count,
@@ -250,26 +214,6 @@ def reduce_multifield(
         cache_hits=cache_hits,
     )
     return diagram, stats
-
-
-def reconstruct_cycle(mf: MultiFieldDiagram, j: int, s: int) -> list[tuple[int, int]]:
-    """Chain over Z/q_sZ attached to column j.
-
-    For a column that died in field s the reduced column itself is
-    returned: a chain whose lowest row is the recorded birth.  For a
-    column that is a (finite or essential) birth in field s the reduced
-    column vanishes there, and the retained combination column is
-    returned instead: a cycle, since its boundary is that zero column.
-    """
-    if mf.state is None:
-        raise ValueError("reduction did not retain columns (keep_basis=False)")
-    if not 1 <= s <= mf.basis.r:
-        raise ValueError(f"field index {s} out of range 1..{mf.basis.r}")
-    q = mf.basis.primes[s - 1]
-    chain = [(row, c % q) for row, c in mf.state.reduced.get(j, []) if c % q]
-    if chain:
-        return chain
-    return [(row, c % q) for row, c in mf.state.combination[j] if c % q]
 
 
 def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:

@@ -58,6 +58,36 @@ def boundary_dense(cx, d, t):
     return mat
 
 
+def boundary_pairs(cx, q):
+    """Persistence pairs of cx over Z/qZ by the standard left-to-right
+    reduction of the boundary matrix: (birth, death) for each pivot and
+    (birth, None) for each index that is neither.  Columns are built from
+    cx.simplex and cx.index_of, as in boundary_dense."""
+    reduced = {}  # pivot row -> reduced column {row: coefficient}
+    pairs = set()
+    for j in range(1, len(cx) + 1):
+        verts = cx.simplex(j)
+        col = {}
+        if len(verts) > 1:
+            for ell in range(len(verts)):
+                col[cx.index_of[verts[:ell] + verts[ell + 1 :]]] = (-1) ** ell % q
+        low = max(col, default=None)
+        while low in reduced:
+            other = reduced[low]
+            factor = col[low] * pow(other[low], q - 2, q) % q
+            for row, c in other.items():
+                col[row] = (col.get(row, 0) - factor * c) % q
+                if not col[row]:
+                    del col[row]
+            low = max(col, default=None)
+        if col:
+            reduced[low] = col
+            pairs.add((low, j))
+    paired = {i for pair in pairs for i in pair}
+    pairs.update((i, None) for i in range(1, len(cx) + 1) if i not in paired)
+    return frozenset(pairs)
+
+
 def betti_prefix(cx, q, t=None, d_max=None):
     """Betti numbers of K_t over Z/qZ: beta_d = n_d - rank d_d - rank d_{d+1}."""
     if t is None:

@@ -153,6 +153,9 @@ def test_torsion_window_validation():
         torsion_window(6, None, r=2, trials=0, c_star=0.0)
     with pytest.raises(ValueError):
         torsion_window(6, 21, r=2, trials=1, c_star=0.0)  # C(6,3) = 20
+    for c_star in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="c_star"):
+            torsion_window(6, None, r=2, trials=1, c_star=c_star)
 
 
 def test_window_csv_rows():

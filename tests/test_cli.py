@@ -231,6 +231,18 @@ def test_window_requires_c_star(capsys):
     assert "c-star" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_star", ["nan", "inf", "-inf"])
+def test_window_rejects_non_finite_c_star(c_star, tmp_path, capsys):
+    csv = tmp_path / "window.csv"
+    code = cli.main(
+        ["window", "--n", "8", "--trials", "2", f"--c-star={c_star}", "--csv", str(csv)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "c_star" in captured.err
+    assert captured.out == "" and not csv.exists()
+
+
 def test_missing_input_is_validation_error(tmp_path, capsys):
     code = cli.main(["reduce", "--input", str(tmp_path / "nope.flt")])
     assert code == 2

@@ -1,21 +1,22 @@
-"""Multi-field reduction: oracle equivalence, masks, cycles, accounting."""
+"""Multi-field reduction: oracle equivalence, masks, accounting."""
 
 import random
 
 import pytest
 
 import mfph.multifield
-from mfph.complexes import column_axpy
 from mfph.crt import InconsistencyError, PrimeBasis
-from mfph.multifield import (
-    reconstruct_cycle,
-    reduce_multifield,
-    save_multifield_diagram,
-)
+from mfph.multifield import reduce_multifield, save_multifield_diagram
 from mfph.single_field import betti_at, reduce_single_field
 from mfph.generators import minimal_projective_plane
 
-from oracles import axpy_upper_bound, betti_prefix, filled_triangle, random_small_complex
+from oracles import (
+    axpy_upper_bound,
+    betti_prefix,
+    boundary_pairs,
+    filled_triangle,
+    random_small_complex,
+)
 from test_acceptance import CORPUS_PRIMES, _small_flag, _small_ym
 
 
@@ -119,58 +120,6 @@ def test_axpy_accounting_and_bound():
         assert stats.partial_inverse_count + stats.cache_hits == stats.axpy_count
 
 
-def test_keep_basis_requires_no_clearing():
-    cx = filled_triangle()
-    basis = PrimeBasis.of([2, 3])
-    with pytest.raises(ValueError):
-        reduce_multifield(cx, basis, clearing=True, keep_basis=True)
-
-
-def test_reconstruct_cycle_triangle():
-    cx = filled_triangle()
-    basis = PrimeBasis.of([2, 3])
-    mf, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
-    # the 1-cycle born at the closing edge: ab + ac + bc up to sign
-    cycle = reconstruct_cycle(mf, 6, 1)
-    assert [row for row, _ in cycle] == [4, 5, 6]
-    # at the death column the retained reduced column is the same cycle
-    dying = reconstruct_cycle(mf, 7, 1)
-    assert [row for row, _ in dying] == [4, 5, 6]
-    # a vertex represents its own 0-cycle
-    assert reconstruct_cycle(mf, 1, 1) == [(1, 1)]
-
-
-def test_reconstructed_cycles_satisfy_postconditions():
-    rng = random.Random(59)
-    basis = PrimeBasis.of([2, 3, 5])
-    for _ in range(5):
-        cx = random_small_complex(rng)
-        mf, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
-        q_all = basis.product
-        alive = {b for b, _, _ in mf.triples} | {b for b, _ in mf.essentials}
-        for s, q in enumerate(basis.primes, start=1):
-            for j in sorted(alive):
-                if cx.dim(j) == 0:
-                    continue
-                cycle = reconstruct_cycle(mf, j, s)
-                col = [(r, c % q) for r, c in cycle if c % q]
-                if not col:
-                    continue
-                # boundary of the chain vanishes mod q
-                acc = []
-                for row, c in col:
-                    acc = column_axpy(acc, c, cx.boundary_rows(row), q_all)
-                assert all(c % q == 0 for _, c in acc)
-
-
-def test_requires_no_missing_state():
-    cx = filled_triangle()
-    basis = PrimeBasis.of([2, 3])
-    mf, _ = reduce_multifield(cx, basis)
-    with pytest.raises(ValueError):
-        reconstruct_cycle(mf, 6, 1)
-
-
 def test_save_multifield_diagram_format(tmp_path):
     cx = minimal_projective_plane()
     basis = PrimeBasis.of([2, 3])
@@ -185,31 +134,29 @@ def test_save_multifield_diagram_format(tmp_path):
 
 
 def test_homology_and_cohomology_agree_on_corpus():
-    # keep_basis reduces the boundary matrix, the default the coboundary
+    # the oracle reduces the boundary matrix, built from index_of, and
+    # not the coboundary columns that both library reducers read
     rng = random.Random(2026)
     basis = PrimeBasis.of([2, 3, 5, 7, 11])
     for _ in range(40):
         cx = random_small_complex(rng)
-        cohomology, _ = reduce_multifield(cx, basis)
-        homology, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
-        assert cohomology.triples == homology.triples
-        assert cohomology.essentials == homology.essentials
+        mf, _ = reduce_multifield(cx, basis)
+        for s, q in enumerate(basis.primes, start=1):
+            assert mf.project(s).pair_set() == boundary_pairs(cx, q)
 
 
 def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
-    # the 100 filtrations of the acceptance corpus; the dense oracle
-    # reads index_of, not the coboundary columns
+    # the 100 filtrations of the acceptance corpus; both oracles read
+    # index_of, not the coboundary columns
     rng = random.Random(2026)
     basis = PrimeBasis.of(CORPUS_PRIMES)
     for i in range(100):
         cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
         cohomology, _ = reduce_multifield(cx, basis)
-        homology, _ = reduce_multifield(cx, basis, clearing=False, keep_basis=True)
-        assert cohomology.triples == homology.triples
-        assert cohomology.essentials == homology.essentials
         m = len(cx)
         for s, q in enumerate(basis.primes, start=1):
             diagram = cohomology.project(s)
+            assert diagram.pair_set() == boundary_pairs(cx, q)
             betti = [betti_at(diagram, m, d) for d in range(cx.max_dim + 1)]
             assert betti == betti_prefix(cx, q)
 
@@ -222,7 +169,6 @@ def test_op_counts_on_acceptance_corpus_are_pinned():
     runs = {
         "cohomology": {},
         "no clearing": {"clearing": False},
-        "homology": {"clearing": False, "keep_basis": True},
     }
     totals = {name: [0, 0, 0] for name in runs}
     for i in range(100):
@@ -235,7 +181,6 @@ def test_op_counts_on_acceptance_corpus_are_pinned():
     assert totals == {
         "cohomology": [1077, 183, 894],
         "no clearing": [3381, 212, 3169],
-        "homology": [4127, 189, 3938],
     }
 
 

@@ -1,6 +1,8 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import mfph
@@ -17,3 +19,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted fails only
+    # under `import *`; check every module's list directly
+    names = ["mfph"] + [f"mfph.{info.name}" for info in pkgutil.iter_modules(mfph.__path__)]
+    checked = 0
+    for name in names:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", ())
+        missing = [attr for attr in exported if not hasattr(module, attr)]
+        assert missing == [], f"{name}.__all__ names {missing}"
+        checked += bool(exported)
+    assert checked >= 5
