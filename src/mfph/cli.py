@@ -170,7 +170,7 @@ def _cmd_reduce(args) -> int:
         singles = {
             q: reduce_single_field(cx, q, clearing=clearing)[0] for q in primes
         }
-        check_projections(mf, singles)
+        check_projections([mf.project(s) for s in range(1, basis.r + 1)], singles)
         print(f"verified: all {basis.r} projections match single-field runs")
     print(
         f"reduced {len(cx)} simplices over {basis.r} fields:"

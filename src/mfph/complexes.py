@@ -395,14 +395,20 @@ def load_filtration(path) -> FilteredComplex:
 
 
 def save_filtration(cx: FilteredComplex, path, header=()) -> None:
-    """Write a filtration file; `header` lines are emitted as '#' comments."""
+    """Write a filtration file; `header` lines are emitted as '#' comments.
+
+    One `dim v0 ... vd value` line per simplex in filtration order, the
+    value by format_value.  Each distinct value is formatted once (-0.0
+    and 0.0 are one value, and both read 0), and the lines in one
+    %-format over the whole file.
+    """
+    uniq, which = np.unique(np.array(cx.values, dtype=np.float64), return_inverse=True)
+    text = [format_value(v) for v in uniq.tolist()]
+    fmt = [f"{d} " + "%d " * (d + 1) + "%s\n" for d in range(cx.max_dim + 1)]
+    value_text = map(text.__getitem__, which.tolist())
+    # each simplex's vertex ids, then its value's text
+    fields = chain.from_iterable(map(tuple.__add__, cx.simplices, zip(value_text)))
     with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        for j in range(1, len(cx) + 1):
-            verts = cx.simplex(j)
-            fh.write(
-                f"{len(verts) - 1} "
-                + " ".join(str(v) for v in verts)
-                + f" {format_value(cx.value(j))}\n"
-            )
+        fh.write("".join(map(fmt.__getitem__, cx.dims)) % tuple(fields))

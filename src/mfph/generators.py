@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 
+from . import complexes
 from .complexes import FilteredComplex, data_lines, finite_float
 
 __all__ = [
@@ -42,38 +43,53 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def _flag_complex(lower: list[list[int]], weight, max_dim: int) -> FilteredComplex:
+def _flag_complex(n: int, eu, ew, ev, max_dim: int) -> FilteredComplex:
     """Flag complex up to max_dim of a graph on vertices 0..n-1.
 
-    lower[v] lists the neighbours u < v of v in ascending order, and
-    weight[u][w] (u < w) is the value of edge uw.  Vertices enter at 0
-    and every clique at the largest value among its edges.
+    Edge k joins eu[k] < ew[k] and enters at ev[k] >= 0; vertices enter
+    at 0 and every clique at the largest value among its edges.  The
+    cliques are enumerated one dimension at a time: each d-row, a sorted
+    vertex tuple, is extended by every upper neighbour w of its last
+    vertex that is adjacent to all its other vertices, which lists each
+    (d+1)-clique once, from its first d+1 vertices.
     """
-    lower_sets = [set(nbrs) for nbrs in lower]
-    items: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(len(lower))]
-
-    # every clique is built exactly once by repeatedly prepending a
-    # smaller common neighbour to the current simplex
-    def expand(simplex: tuple[int, ...], cands: list[int], value: float) -> None:
-        # simplex is ascending; cands are all below simplex[0], ascending
-        for pos in range(len(cands) - 1, -1, -1):
-            u = cands[pos]
-            row = weight[u]
-            uval = max(row[w] for w in simplex)
-            nval = value if value >= uval else uval
-            extended = (u,) + simplex
-            items.append((extended, nval))
-            if len(extended) <= max_dim:
-                usets = lower_sets[u]
-                ncands = [w for w in cands[:pos] if w in usets]
-                if ncands:
-                    expand(extended, ncands, nval)
-
-    if max_dim >= 1:
-        for v, nbrs in enumerate(lower):
-            if nbrs:
-                expand((v,), nbrs, 0.0)
-    return FilteredComplex(items)
+    eu, ew = np.asarray(eu, np.int64), np.asarray(ew, np.int64)
+    keys = eu * n + ew
+    srt = np.argsort(keys)
+    keys, ew = keys[srt], ew[srt]
+    # +0.0 turns a -0.0 weight into 0.0, the value its vertices enter at
+    ev = np.asarray(ev, np.float64)[srt] + 0.0
+    # upper neighbours of v: ew[ptr[v]:ptr[v+1]], ascending
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(eu, minlength=n), out=ptr[1:])
+    flat, dims, values = [np.arange(n, dtype=np.int64)], [np.zeros(n, np.int64)], [np.zeros(n)]
+    rows, vals = np.column_stack((eu[srt], ew)), ev  # the 1-rows: edges, ascending
+    for d in range(1, max_dim + 1):
+        flat.append(rows.ravel())
+        dims.append(np.full(len(rows), d, np.int64))
+        values.append(vals)
+        if d == max_dim:
+            break
+        # candidate k extends rows[of[k]] by w[k] via edge e[k]
+        last = rows[:, -1]
+        count = ptr[last + 1] - ptr[last]
+        of = np.repeat(np.arange(len(rows)), count)
+        e = np.arange(len(of)) + np.repeat(ptr[last] - np.cumsum(count) + count, count)
+        w = ew[e]
+        vals = np.maximum(vals[of], ev[e])
+        for i in range(d):
+            key = rows[of, i] * n + w
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[pos] == key
+            of, w = of[hit], w[hit]
+            vals = np.maximum(vals[hit], ev[pos[hit]])
+        rows = np.column_stack((rows[of], w))
+    # one float object per distinct value, not one per simplex
+    uniq, which = np.unique(np.concatenate(values), return_inverse=True)
+    values = list(map(uniq.tolist().__getitem__, which.tolist()))
+    # looked up through the module: a timing wrapper without _from_flat
+    # may stand in for this module's name (perfbench/spans.py)
+    return complexes.FilteredComplex._from_flat(np.concatenate(flat), np.concatenate(dims), values)
 
 
 def rips_filtration(
@@ -103,9 +119,11 @@ def rips_filtration(
             raise ValueError("distance matrix must have a zero diagonal")
         if (dm < 0).any():
             raise ValueError("distances must be >= 0")
-    dist = dm.tolist()
-    lower = [[u for u in range(v) if row[u] <= rho] for v, row in enumerate(dist)]
-    return _flag_complex(lower, dist, max_dim)
+    # an edge uv (u < v) exists iff d(v, u) <= rho and enters at d(u, v)
+    eu, ew = np.triu_indices(len(dm), 1)
+    edge = dm[ew, eu] <= rho
+    eu, ew = eu[edge], ew[edge]
+    return _flag_complex(len(dm), eu, ew, dm[eu, ew], max_dim)
 
 
 def _unrank_pair(t: int, n: int) -> tuple[int, int]:
@@ -161,15 +179,13 @@ def random_flag(n: int, m_edges: int, max_dim: int, seed: int) -> FilteredComple
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     rng = random.Random(seed)
-    weight: list[dict[int, float]] = [{} for _ in range(n)]
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for val, t in enumerate(rng.sample(range(total), m_edges), start=1):
-        u, v = _unrank_pair(t, n)
-        weight[u][v] = float(val)
-        lower[v].append(u)
-    for nbrs in lower:
-        nbrs.sort()
-    return _flag_complex(lower, weight, max_dim)
+    rank = np.array(rng.sample(range(total), m_edges), dtype=np.int64)
+    # the width[u] pairs (u, w), w > u, have the lexicographic ranks start[u], ...
+    width = np.arange(n - 1, -1, -1)
+    start = np.cumsum(width) - width
+    eu = np.searchsorted(start, rank, side="right") - 1
+    ew = eu + 1 + rank - start[eu]
+    return _flag_complex(n, eu, ew, np.arange(1.0, m_edges + 1), max_dim)
 
 
 def _klein_points(params: np.ndarray) -> np.ndarray:

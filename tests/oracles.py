@@ -88,6 +88,54 @@ def boundary_pairs(cx, q):
     return frozenset(pairs)
 
 
+def reference_flag_complex(n, edges, max_dim):
+    """Flag complex up to max_dim of the graph on vertices 0..n-1 whose
+    edges are given as {(u, w): value} with u < w, by recursive clique
+    expansion: vertices at 0.0, and each clique at the largest value
+    among its edges, ties keeping the value reached first."""
+    lower = [[] for _ in range(n)]
+    weight = [{} for _ in range(n)]
+    for (u, w), value in edges.items():
+        lower[w].append(u)
+        weight[u][w] = value
+    for nbrs in lower:
+        nbrs.sort()
+    lower_sets = [set(nbrs) for nbrs in lower]
+    items = [((v,), 0.0) for v in range(n)]
+
+    # every clique is built exactly once by repeatedly prepending a
+    # smaller common neighbour to the current simplex
+    def expand(simplex, cands, value):
+        # simplex is ascending; cands are all below simplex[0], ascending
+        for pos in range(len(cands) - 1, -1, -1):
+            u = cands[pos]
+            row = weight[u]
+            uval = max(row[w] for w in simplex)
+            nval = value if value >= uval else uval
+            extended = (u,) + simplex
+            items.append((extended, nval))
+            if len(extended) <= max_dim:
+                ncands = [w for w in cands[:pos] if w in lower_sets[u]]
+                if ncands:
+                    expand(extended, ncands, nval)
+
+    if max_dim >= 1:
+        for v, nbrs in enumerate(lower):
+            if nbrs:
+                expand((v,), nbrs, 0.0)
+    return FilteredComplex(items)
+
+
+def reference_random_flag(n, m_edges, max_dim, seed):
+    """random_flag's filtration, by reference_flag_complex: the same
+    m_edges distinct edges, drawn as ranks into the lexicographic list of
+    pairs, enter at values 1..m_edges in draw order."""
+    pairs = list(combinations(range(n), 2))
+    drawn = random.Random(seed).sample(range(len(pairs)), m_edges)
+    edges = {pairs[t]: float(value) for value, t in enumerate(drawn, start=1)}
+    return reference_flag_complex(n, edges, max_dim)
+
+
 def betti_prefix(cx, q, t=None, d_max=None):
     """Betti numbers of K_t over Z/qZ: beta_d = n_d - rank d_d - rank d_{d+1}."""
     if t is None:

@@ -116,11 +116,45 @@ def test_bench_csv_rows():
 def test_check_projections_detects_mismatch():
     cx = minimal_projective_plane()
     mf, _ = reduce_multifield(cx, PrimeBasis.of([2, 3]))
+    projections = [mf.project(s) for s in (1, 2)]
     singles = {q: reduce_single_field(cx, q)[0] for q in (2, 3)}
-    check_projections(mf, singles)  # agreement passes silently
+    check_projections(projections, singles)  # agreement passes silently
     singles[3] = FieldDiagram(prime=3, pairs=((1, None),), dims=(0,))
     with pytest.raises(InconsistencyError):
-        check_projections(mf, singles)
+        check_projections(projections, singles)
+
+
+def test_check_projections_catches_one_wrong_entry_in_any_field():
+    # RP^2 over 2, 3 and 5: field 2 sees a pair the others do not
+    cx = minimal_projective_plane()
+    primes = (2, 3, 5)
+    mf, _ = reduce_multifield(cx, PrimeBasis.of(primes))
+    projections = [mf.project(s) for s in (1, 2, 3)]
+    singles = {q: reduce_single_field(cx, q)[0] for q in primes}
+    check_projections(projections, singles)
+    mutations = 0
+    for q in primes:
+        good = singles[q].pairs
+        changes = [
+            # an essential class made finite, or a finite one essential
+            {k: (birth, None if death is not None else len(cx) + 1)}
+            for k, (birth, death) in enumerate(good)
+        ]
+        finite = [k for k, (_, death) in enumerate(good) if death is not None]
+        changes.extend(
+            # two finite pairs that trade deaths
+            {a: (good[a][0], good[b][1]), b: (good[b][0], good[a][1])}
+            for a, b in zip(finite, finite[1:])
+        )
+        for change in changes:
+            pairs = tuple(change.get(k, pair) for k, pair in enumerate(good))
+            bad = FieldDiagram(prime=q, pairs=pairs, dims=singles[q].dims)
+            with pytest.raises(InconsistencyError, match=f"mod {q} "):
+                check_projections(projections, {**singles, q: bad})
+            with pytest.raises(InconsistencyError, match=f"mod {q} "):
+                check_projections([bad if p.prime == q else p for p in projections], singles)
+            mutations += 1
+    assert mutations > sum(map(len, singles.values()))
 
 
 def test_five_number():

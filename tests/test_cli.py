@@ -1,5 +1,7 @@
 """End-to-end CLI checks: every verb, file outputs, exit codes."""
 
+import hashlib
+
 import pytest
 
 import mfph.cli as cli
@@ -67,6 +69,41 @@ def test_gen_flag(tmp_path, capsys):
     assert code == 0
     cx = load_filtration(out)
     assert sum(1 for j in range(1, len(cx) + 1) if cx.dim(j) == 1) == 12
+
+
+# sha256 of the filtration files these commands write, recorded before
+# the flag enumerator and the filtration writer were rewritten on arrays
+PINNED_OUTPUTS = {
+    "rips-shape": (
+        ["rips", "--shape", "cube-uniform", "--n", "60", "--seed", "1", "--rho", "0.4", "--max-dim", "3"],
+        "3c3fbffead0fb383522db47f16a5a3dd2947230214ddbaaa62ab40aa073cc0ca",
+    ),
+    "rips-distances": (
+        ["rips", "--distances", "small.dist", "--rho", "1.5", "--max-dim", "3"],
+        "1eb642a61f5a80970a57719b73386bb68331b4c217ab6554eef61ba55f025402",
+    ),
+    "gen-flag": (
+        ["gen-flag", "--n", "30", "--m-edges", "200", "--max-dim", "3", "--seed", "7"],
+        "e21899cbb3e599d8beb54e52508be2965e9baaade8c78f41a0c667159dd291d0",
+    ),
+    "gen-ym": (
+        ["gen-ym", "--n", "12", "--m", "60", "--seed", "3"],
+        "5e78329413ff97e57479ea5da5573bf77750e457680660e5ed56fb172b75e27d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_generated_files_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the --distances path is written into the header
+    with open("small.dist", "w", encoding="utf-8") as fh:
+        # 12 points at distances in quarters, with many ties
+        fh.write("# 12 points\n\n")
+        for k in range(1, 12):
+            fh.write(" ".join(str(((k * 7 + i * 3) % 9 + 1) / 4) for i in range(k)) + "\n")
+    args, digest = PINNED_OUTPUTS[name]
+    assert cli.main(args + ["--out", "out.flt"]) == 0
+    assert hashlib.sha256((tmp_path / "out.flt").read_bytes()).hexdigest() == digest
 
 
 def test_rips_shape_saves_points(tmp_path, capsys):

@@ -7,11 +7,12 @@ import pytest
 from mfph.complexes import (
     FilteredComplex,
     column_axpy,
+    format_value,
     load_filtration,
     save_filtration,
 )
 from mfph.crt import PrimeBasis, crt_project
-from mfph.generators import minimal_projective_plane
+from mfph.generators import minimal_projective_plane, rips_filtration, sample_shape
 
 from oracles import filled_triangle, klein_grid, random_small_complex
 
@@ -317,6 +318,44 @@ def test_filtration_file_roundtrip(tmp_path):
     for j in range(1, len(cx) + 1):
         assert back.simplex(j) == cx.simplex(j)
         assert back.value(j) == cx.value(j)
+
+
+def _per_line_reference(cx, header):
+    """The filtration file written one line at a time."""
+    lines = [f"# {line}\n" for line in header]
+    for verts, value in zip(cx.simplices, cx.values):
+        lines.append(f"{len(verts) - 1} {' '.join(map(str, verts))} {format_value(value)}\n")
+    return "".join(lines)
+
+
+def test_save_filtration_equals_per_line_reference(tmp_path):
+    big = 2.0**60
+    cx = FilteredComplex(
+        [
+            ((0,), -0.0), ((1,), 0.0), ((2,), 1e-300), ((3,), 0.5), ((4,), 0.5), ((5,), 1e16),
+            ((0, 1), 0.0), ((1, 2), 1e-300), ((0, 2), 0.5), ((0, 3), 0.5), ((3, 4), 0.5),
+            ((1, 3), 123456789.125), ((2, 3), 1e16), ((0, 5), 1e16), ((4, 5), big),
+            ((0, 1, 2), 0.5), ((0, 1, 3), 123456789.125), ((0, 2, 3), 1e16),
+            ((1, 2, 3), big), ((0, 1, 2, 3), big),
+        ]
+    )
+    header = ["tied values", "across dimensions"]
+    path = tmp_path / "ties.flt"
+    save_filtration(cx, path, header=header)
+    text = path.read_text()
+    assert text == _per_line_reference(cx, header)
+    assert "0 0 0\n" in text and "-0" not in text
+    assert "0 2 1e-300\n" in text and "1 4 5 1152921504606846976\n" in text
+    assert "0 5 10000000000000000\n" in text and "2 0 1 3 123456789.125\n" in text
+    others = [
+        rips_filtration(sample_shape("sphere-S3", 40, seed=2), rho=0.9, max_dim=3),
+        FilteredComplex([((7,), 0.0)]),
+    ]
+    rng = random.Random(43)
+    others.extend(random_small_complex(rng) for _ in range(10))
+    for cx in others:
+        save_filtration(cx, path)
+        assert path.read_text() == _per_line_reference(cx, ())
 
 
 def test_filtration_file_float_values(tmp_path):

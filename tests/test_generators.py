@@ -7,7 +7,9 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from mfph.generators import (
+    _flag_complex,
     _klein_points,
     _unrank_pair,
     _unrank_triple,
@@ -22,7 +24,7 @@ from mfph.generators import (
     save_points,
 )
 
-from oracles import betti_prefix
+from oracles import betti_prefix, reference_flag_complex, reference_random_flag
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -188,6 +190,93 @@ def test_random_flag_respects_max_dim():
     cx = random_flag(6, 15, max_dim=1, seed=2)  # complete graph, edges only
     assert len(cx) == 21
     assert cx.max_dim == 1
+
+
+def _same_filtration(cx, ref):
+    assert cx.simplices == ref.simplices
+    assert cx.values == ref.values
+    # a zero value is +0.0 in both, never -0.0
+    assert [math.copysign(1.0, v) for v in cx.values] == [
+        math.copysign(1.0, v) for v in ref.values
+    ]
+
+
+def test_flag_enumerator_matches_recursive_reference():
+    rng = random.Random(53)
+    for trial in range(300):
+        n = rng.choice([1, 2, rng.randint(3, 9), rng.randint(10, 16)])
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+        levels = rng.choice([1, 2, 3, 50])  # few levels: many tied values
+        edges = {e: rng.randrange(levels) * rng.choice([0.5, 1.0]) for e in chosen}
+        if trial % 3 == 0:
+            edges = {e: -0.0 if v == 0 else v for e, v in edges.items()}
+        max_dim = trial % 5
+        rng.shuffle(chosen)  # the enumerator takes edges in any order
+        cx = _flag_complex(
+            n,
+            np.array([u for u, _ in chosen], dtype=np.int64),
+            np.array([w for _, w in chosen], dtype=np.int64),
+            np.array([edges[e] for e in chosen]),
+            max_dim,
+        )
+        _same_filtration(cx, reference_flag_complex(n, edges, max_dim))
+
+
+def test_flag_enumerator_edge_cases():
+    for max_dim in range(5):
+        # one vertex; no edges; isolated vertices beside a clique
+        _same_filtration(_flag_complex(1, [], [], [], max_dim), reference_flag_complex(1, {}, max_dim))
+        _same_filtration(_flag_complex(6, [], [], [], max_dim), reference_flag_complex(6, {}, max_dim))
+        k5 = {e: float(sum(e)) for e in itertools.combinations((1, 3, 4, 6, 7), 2)}
+        eu, ew = zip(*k5)
+        cx = _flag_complex(9, eu, ew, list(k5.values()), max_dim)
+        _same_filtration(cx, reference_flag_complex(9, k5, max_dim))
+        assert len(cx) == 9 + sum(math.comb(5, k + 1) for k in range(1, max_dim + 1))
+
+
+def test_rips_matches_recursive_reference_on_tied_distances():
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        dm = rng.integers(0, 4, size=(n, n)).astype(float)
+        dm = np.triu(dm, 1) + np.triu(dm, 1).T
+        if trial % 4 == 1:
+            dm[dm == 0] = -0.0
+        if trial % 3 == 0:
+            # symmetric up to 1e-12: an edge uv (u < v) is kept by
+            # d(v, u) and enters at d(u, v)
+            dm += np.triu(rng.random((n, n)) * 1e-12, 1)
+        rho = float(rng.integers(0, 4))
+        max_dim = trial % 5
+        edges = {
+            (u, w): float(dm[u, w])
+            for u, w in itertools.combinations(range(n), 2)
+            if dm[w, u] <= rho
+        }
+        cx = rips_filtration(dm, rho=rho, max_dim=max_dim, precomputed=True)
+        _same_filtration(cx, reference_flag_complex(n, edges, max_dim))
+
+
+def test_random_flag_matches_reference_on_oracle_corpora(monkeypatch):
+    # every random_flag call random_small_complex makes for the seeds the
+    # test modules give it is checked against the recursive reference
+    calls = []
+
+    def checked(n, m_edges, max_dim, seed):
+        cx = random_flag(n, m_edges, max_dim, seed)
+        _same_filtration(cx, reference_random_flag(n, m_edges, max_dim, seed))
+        calls.append(cx)
+        return cx
+
+    monkeypatch.setattr(oracles, "random_flag", checked)
+    for seed in (7, 19, 23, 29, 31, 37, 41, 2026):
+        rng = random.Random(seed)
+        for _ in range(25):
+            oracles.random_small_complex(rng)
+    assert len(calls) > 80
+    for n, m, max_dim, seed in ((7, 12, 3, 9), (30, 200, 3, 7), (12, 66, 4, 1), (1, 0, 2, 0), (60, 900, 2, 5)):
+        _same_filtration(random_flag(n, m, max_dim, seed), reference_random_flag(n, m, max_dim, seed))
 
 
 def test_sphere_sample():
