@@ -23,7 +23,6 @@ from .single_field import FieldDiagram, reduce_single_field
 
 __all__ = [
     "BenchReport",
-    "InconsistencyError",
     "WindowResult",
     "bench_csv_rows",
     "bench_text",
@@ -54,7 +53,6 @@ def lambda_bound(r: int, word_size: int = 64) -> int:
 class BenchReport:
     primes: tuple[int, ...]
     word_size: int
-    clearing: bool
     repeats: int
     n_simplices: int
     max_dim: int
@@ -104,7 +102,6 @@ def run_bench(
     cx: FilteredComplex,
     primes,
     mode: str = "both",
-    clearing: bool = True,
     repeats: int = 3,
     word_size: int = 64,
 ) -> tuple[BenchReport, MultiFieldDiagram]:
@@ -124,10 +121,8 @@ def run_bench(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     basis = PrimeBasis.of(primes)
-    reduce_multifield(cx, basis, clearing=clearing)
-    t_r, (mf, stats) = _median_time(
-        lambda: reduce_multifield(cx, basis, clearing=clearing), repeats
-    )
+    reduce_multifield(cx, basis)
+    t_r, (mf, stats) = _median_time(lambda: reduce_multifield(cx, basis), repeats)
     projections = [mf.project(s) for s in range(1, basis.r + 1)]
     p_f = tuple(map(len, projections))
     if mf.p_r < max(p_f):
@@ -143,7 +138,7 @@ def run_bench(
         ops = []
         for q in basis.primes:
             t_q, (diagram, op_count) = _median_time(
-                lambda q=q: reduce_single_field(cx, q, clearing=clearing), repeats
+                lambda q=q: reduce_single_field(cx, q), repeats
             )
             singles[q] = diagram
             each.append(t_q)
@@ -157,7 +152,6 @@ def run_bench(
     report = BenchReport(
         primes=basis.primes,
         word_size=word_size,
-        clearing=clearing,
         repeats=repeats,
         n_simplices=len(cx),
         max_dim=cx.max_dim,
@@ -179,8 +173,7 @@ def run_bench(
 
 def bench_text(report: BenchReport) -> str:
     lines = [
-        f"complex: {report.n_simplices} simplices, max dim {report.max_dim},"
-        f" clearing={'on' if report.clearing else 'off'}",
+        f"complex: {report.n_simplices} simplices, max dim {report.max_dim}",
         f"fields: r={report.r} primes {report.primes[0]}..{report.primes[-1]},"
         f" lambda(Q)={report.lambda_q} words (bound {report.lambda_q_bound})"
         f" at w={report.word_size}",

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .bench import (
-    InconsistencyError,
     bench_csv_rows,
     bench_text,
     check_projections,
@@ -25,7 +25,7 @@ from .bench import (
     window_text,
 )
 from .complexes import load_filtration, save_filtration
-from .crt import PrimeBasis, first_primes
+from .crt import InconsistencyError, PrimeBasis, first_primes
 from .generators import (
     COMPLEX_PRNG,
     POINT_PRNG,
@@ -49,6 +49,15 @@ EXIT_INCONSISTENT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative decimals for values; widen
+        # that to every float spelling, so `--c-star -1e-3` and
+        # `--rho -inf` reach the option's own check
+        self._negative_number_matcher = re.compile(
+            r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -150,11 +159,10 @@ def _cmd_gen_flag(args) -> int:
 def _cmd_reduce(args) -> int:
     cx = load_filtration(args.input)
     primes = _resolve_primes(args)
-    clearing = not args.no_clearing
 
     if args.mode == "bruteforce":
         for q in primes:
-            diagram, ops = reduce_single_field(cx, q, clearing=clearing)
+            diagram, ops = reduce_single_field(cx, q)
             finite = sum(1 for _, death in diagram.pairs if death is not None)
             print(
                 f"q={q}: {finite} finite pairs,"
@@ -165,11 +173,9 @@ def _cmd_reduce(args) -> int:
         return EXIT_OK
 
     basis = PrimeBasis.of(primes)
-    mf, stats = reduce_multifield(cx, basis, clearing=clearing)
+    mf, stats = reduce_multifield(cx, basis)
     if args.mode == "both":
-        singles = {
-            q: reduce_single_field(cx, q, clearing=clearing)[0] for q in primes
-        }
+        singles = {q: reduce_single_field(cx, q)[0] for q in primes}
         check_projections([mf.project(s) for s in range(1, basis.r + 1)], singles)
         print(f"verified: all {basis.r} projections match single-field runs")
     print(
@@ -207,7 +213,6 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_bench(args) -> int:
     cx = load_filtration(args.input)
-    clearing = not args.no_clearing
     if args.primes:
         bases = [_parse_prime_list(args.primes)]
     elif args.r:
@@ -223,7 +228,6 @@ def _cmd_bench(args) -> int:
             cx,
             primes,
             mode=args.mode,
-            clearing=clearing,
             repeats=args.repeats,
             word_size=args.word_size,
         )
@@ -294,7 +298,6 @@ def build_parser() -> _Parser:
         default="modular",
         help="multi-field run, per-field runs, or both with verification",
     )
-    p.add_argument("--no-clearing", action="store_true")
     p.add_argument("--out", help="diagram output path (per-field: OUT.q<q>)")
     p.set_defaults(func=_cmd_reduce)
 
@@ -319,7 +322,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--repeats", type=int, default=3, help="median of this many runs")
     p.add_argument("--word-size", type=int, default=64)
-    p.add_argument("--no-clearing", action="store_true")
     p.add_argument("--csv", help="write one CSV row per r here")
     p.set_defaults(func=_cmd_bench)
 

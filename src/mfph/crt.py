@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "InconsistencyError",
     "PrimeBasis",
-    "bezout",
     "crt_combine",
     "crt_project",
     "first_primes",
@@ -46,7 +45,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for word-sized inputs."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -82,23 +81,6 @@ def first_primes(r: int) -> tuple[int, ...]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     primes = [i for i, flag in enumerate(sieve) if flag]
     return tuple(primes[:r])
-
-
-def bezout(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, v, w) with v*a + w*b = g = gcd(a, b) > 0."""
-    if a == 0 and b == 0:
-        raise ValueError("bezout(0, 0) is undefined")
-    old_r, r = a, b
-    old_v, v = 1, 0
-    old_w, w = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_v, v = v, old_v - q * v
-        old_w, w = w, old_w - q * w
-    if old_r < 0:
-        old_r, old_v, old_w = -old_r, -old_v, -old_w
-    return old_r, old_v, old_w
 
 
 @dataclass(frozen=True)
@@ -193,10 +175,11 @@ def partial_inverse(basis: PrimeBasis, x: int, mask: int) -> tuple[int, int]:
     t_mask = mask // math.gcd(x, mask)
     if t_mask == 1:
         return 0, 1
-    g, v, _ = bezout(x % t_mask, t_mask)
-    if g != 1:
-        raise InconsistencyError(f"{x} is not a unit modulo {t_mask}")
-    return (v % t_mask) * partial_identity(basis, t_mask) % basis.product, t_mask
+    try:
+        v = pow(x, -1, t_mask)
+    except ValueError:
+        raise InconsistencyError(f"{x} is not a unit modulo {t_mask}") from None
+    return v * partial_identity(basis, t_mask) % basis.product, t_mask
 
 
 def word_length(n: int, w: int = 64) -> int:

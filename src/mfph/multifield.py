@@ -85,9 +85,7 @@ def _coeff_at(col: SparseColumn, row: int) -> int:
 
 
 def reduce_multifield(
-    cx: FilteredComplex,
-    basis: PrimeBasis,
-    clearing: bool = True,
+    cx: FilteredComplex, basis: PrimeBasis
 ) -> tuple[MultiFieldDiagram, ReduceStats]:
     """Reduce the coboundary matrix over Z/QZ for all basis fields at once.
 
@@ -102,15 +100,14 @@ def reduce_multifield(
     is nonzero modulo Q_S.  The search for the next pivot row continues
     below a pivot settled without an axpy, and starts again from the
     column's end after an axpy, so a pivot the axpys failed to cancel
-    is found again and raises.  With clearing on, columns run in
-    cx.coboundary_order() and a column is skipped once its index is a
-    pivot row in every field; with clearing off they run in index order.
+    is found again and raises.  Columns run in cx.coboundary_order(),
+    and a column is skipped (cleared) once its index is a pivot row in
+    every field.
 
     Raises InconsistencyError if an invariant of the reduction fails.
     """
     q_all = basis.product
     m = len(cx)
-    order = cx.coboundary_order() if clearing else range(1, m + 1)
     columns = cx.coboundary_columns()
 
     reduced: dict[int, SparseColumn] = {}
@@ -124,8 +121,8 @@ def reduce_multifield(
     pinv_count = 0
     cache_hits = 0
 
-    for j in order:
-        if clearing and row_mask[j] == q_all:
+    for j in cx.coboundary_order():
+        if row_mask[j] == q_all:
             continue
         col = columns[j]
         mask_s = q_all

@@ -5,8 +5,7 @@ anti-transposed coboundary matrix and in the same column order as the
 multi-field reduction (persistent cohomology with clearing; see
 mfph.complexes).  It is kept deliberately plain: it is the per-field
 brute-force baseline that the benchmark times, and the oracle the
-multi-field reduction is checked against.  Field arithmetic uses
-machine words with a precomputed inverse table for q < 2^16.
+multi-field reduction is checked against.
 """
 
 from __future__ import annotations
@@ -43,41 +42,25 @@ class FieldDiagram:
         return len(self.pairs)
 
 
-def _inverse_table(q: int) -> list[int]:
-    inv = [0, 1] + [0] * (q - 2)
-    for x in range(2, q):
-        inv[x] = (q - q // x) * inv[q % x] % q
-    return inv
-
-
-def reduce_single_field(
-    cx: FilteredComplex, q: int, clearing: bool = True
-) -> tuple[FieldDiagram, int]:
+def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]:
     """Reduce the coboundary matrix over Z/qZ.
 
     Returns the diagram and the number of column operations performed.
-    With clearing on, columns run in ascending dimension and a column
-    whose index is already a pivot row is skipped; the resulting diagram
-    is identical either way, and equal to that of the boundary matrix.
+    Columns run in ascending dimension and a column whose index is
+    already a pivot row is skipped (cleared); the diagram equals that of
+    the boundary matrix.
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 2, got {q}")
     m1 = len(cx) + 1
-    if q < 1 << 16:
-        inv_table = _inverse_table(q)
-        inv = inv_table.__getitem__
-    else:
-        inv = lambda x: pow(x, q - 2, q)  # noqa: E731
-
-    order = cx.coboundary_order() if clearing else range(1, m1)
     columns = cx.coboundary_columns()
     pivot_owner: dict[int, int] = {}
     reduced: dict[int, list[tuple[int, int]]] = {}
     finite_pairs: list[tuple[int, int]] = []
     ops = 0
 
-    for j in order:
-        if clearing and j in pivot_owner:
+    for j in cx.coboundary_order():
+        if j in pivot_owner:
             continue
         col = columns[j]
         while col:
@@ -86,7 +69,7 @@ def reduce_single_field(
             if owner is None:
                 break
             own_col = reduced[owner]
-            alpha = -c * inv(own_col[-1][1] % q) % q
+            alpha = -c * pow(own_col[-1][1], -1, q) % q
             col = column_axpy(col, alpha, own_col, q)
             ops += 1
         if col:

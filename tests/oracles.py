@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 from mfph.complexes import FilteredComplex
-from mfph.generators import linial_meshulam, random_flag
+from mfph.generators import linial_meshulam, minimal_projective_plane, random_flag
 
 
 def mod_rank(rows, q):
@@ -182,6 +182,19 @@ def filled_triangle():
             ((1, 2, 3), 7.0),
         ]
     )
+
+
+def coned_projective_plane():
+    """The 6-vertex projective plane at value 0, coned off from vertex 7
+    at value 1.  The cone is contractible, but mod 2 the plane's 1- and
+    2-classes live until value 1, while mod 3 and mod 5 the triangle
+    that closes the 2-class mod 2 kills the 1-cycle instead."""
+    rp2 = minimal_projective_plane()
+    faces = [rp2.simplex(j) for j in range(1, len(rp2) + 1)]
+    items = [(face, 0.0) for face in faces]
+    items.append(((7,), 1.0))
+    items.extend((face + (7,), 1.0) for face in faces)
+    return FilteredComplex(items)
 
 
 def klein_grid(a=4, b=4):

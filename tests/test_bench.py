@@ -8,7 +8,6 @@ import mfph.bench
 from mfph.bench import (
     BENCH_CSV_HEADER,
     WINDOW_CSV_HEADER,
-    InconsistencyError,
     bench_csv_rows,
     bench_text,
     check_projections,
@@ -19,7 +18,7 @@ from mfph.bench import (
     window_csv_rows,
     window_text,
 )
-from mfph.crt import PrimeBasis, first_primes, word_length
+from mfph.crt import InconsistencyError, PrimeBasis, first_primes, word_length
 from mfph.generators import minimal_projective_plane
 from mfph.multifield import reduce_multifield
 from mfph.single_field import FieldDiagram, reduce_single_field

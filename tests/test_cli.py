@@ -6,7 +6,7 @@ import pytest
 
 import mfph.cli as cli
 import mfph.multifield
-from mfph.bench import InconsistencyError
+from mfph.crt import InconsistencyError
 from mfph.complexes import load_filtration, save_filtration
 from mfph.generators import (
     distance_matrix,
@@ -199,12 +199,6 @@ def test_reduce_bruteforce_writes_per_field(triangle_file, tmp_path, capsys):
     assert (tmp_path / "tri.dgm.q3").exists()
 
 
-def test_reduce_no_clearing(triangle_file, capsys):
-    code = cli.main(["reduce", "--input", triangle_file, "--no-clearing"])
-    assert code == 0
-    assert "3 triples" in capsys.readouterr().out
-
-
 def test_torsion_report(rp2_file, tmp_path, capsys):
     csv = tmp_path / "torsion.csv"
     code = cli.main(
@@ -278,6 +272,14 @@ def test_window_rejects_non_finite_c_star(c_star, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "c_star" in captured.err
     assert captured.out == "" and not csv.exists()
+
+
+@pytest.mark.parametrize("c_star, code", [("-1e-3", 0), ("-2.5E+1", 0), ("-inf", 2)])
+def test_window_reads_a_negative_c_star_given_as_its_own_word(c_star, code, capsys):
+    # argparse alone takes "-1e-3" and "-inf" for options and exits 1
+    assert cli.main(["window", "--n", "6", "--trials", "1", "--c-star", c_star]) == code
+    captured = capsys.readouterr()
+    assert f"c_star = {float(c_star)}" in captured.out if code == 0 else "c_star" in captured.err
 
 
 def test_missing_input_is_validation_error(tmp_path, capsys):
@@ -400,6 +402,8 @@ MALFORMED = [
     ("inf.dist", "1\n1 inf\n", ["rips", "--distances"], ["--rho", "2"], "inf.dist:2"),
     ("neg.dist", "-1\n", ["rips", "--distances"], ["--rho", "2"], "neg.dist:1"),
     ("ok.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "nan"], "rho"),
+    ("negrho.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "-1e-3"], "rho"),
+    ("infrho.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "-inf"], "rho"),
 ]
 
 

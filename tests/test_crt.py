@@ -1,7 +1,8 @@
-"""CRT layer: primes, bezout, idempotents, partial identities/inverses."""
+"""CRT layer: primes, idempotents, partial identities/inverses."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,6 @@ import mfph.crt
 from mfph.crt import (
     InconsistencyError,
     PrimeBasis,
-    bezout,
     crt_combine,
     crt_project,
     first_primes,
@@ -35,26 +35,6 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     # Carmichael numbers and squares must not fool the test
     assert not is_prime(561) and not is_prime(341) and not is_prime(169)
-
-
-def test_bezout_hand_cases():
-    assert bezout(3, 6) == (3, 1, 0)
-    assert bezout(35, 6) == (1, -1, 6)
-    assert bezout(1, 97) == (1, 1, 0)
-    g, v, w = bezout(0, 5)
-    assert g == 5 and 0 * v + 5 * w == 5
-
-
-def test_bezout_identity_random():
-    rng = random.Random(42)
-    for _ in range(500):
-        a = rng.randrange(-(10**9), 10**9)
-        b = rng.randrange(-(10**9), 10**9)
-        if a == 0 and b == 0:
-            continue
-        g, v, w = bezout(a, b)
-        assert g == math.gcd(a, b) > 0
-        assert a * v + b * w == g
 
 
 def test_idempotents():
@@ -146,11 +126,13 @@ def test_partial_inverse_law_exhaustive():
                     assert xbar % p == 0
 
 
-def test_partial_inverse_checks_bezout(monkeypatch):
+def test_partial_inverse_checks_for_a_unit(monkeypatch):
+    # with gcd forced to 1, 6 keeps the whole mask 30 and pow(6, -1, 30)
+    # fails: the non-unit must raise InconsistencyError, not ValueError
     basis = PrimeBasis.of([2, 3, 5])
-    monkeypatch.setattr(mfph.crt, "bezout", lambda a, b: (2, 0, 0))
-    with pytest.raises(InconsistencyError):
-        partial_inverse(basis, 7, 30)
+    monkeypatch.setattr(mfph.crt, "math", SimpleNamespace(gcd=lambda a, b: 1))
+    with pytest.raises(InconsistencyError, match="not a unit modulo 30"):
+        partial_inverse(basis, 6, 30)
 
 
 def test_word_length():

@@ -14,6 +14,7 @@ from oracles import (
     axpy_upper_bound,
     betti_prefix,
     boundary_pairs,
+    coned_projective_plane,
     filled_triangle,
     random_small_complex,
 )
@@ -44,15 +45,19 @@ def test_projections_match_single_field_runs():
             assert mf.project(s).pair_set() == single.pair_set()
 
 
-def test_clearing_equivalence():
+def test_cleared_reduction_matches_boundary_oracle():
+    # a column is skipped only once its index is a pivot row in every
+    # field: in the coned-off projective plane, the triangle that kills
+    # the 2-torsion 1-cycle mod 3 and mod 5 is a pivot row in those fields
+    # only, and its column must still run mod 2, where it opens a 2-class
     rng = random.Random(41)
     basis = PrimeBasis.of([2, 3, 5])
-    for _ in range(10):
-        cx = random_small_complex(rng)
-        with_c, _ = reduce_multifield(cx, basis, clearing=True)
-        without_c, _ = reduce_multifield(cx, basis, clearing=False)
-        assert sorted(with_c.triples) == sorted(without_c.triples)
-        assert sorted(with_c.essentials) == sorted(without_c.essentials)
+    complexes = [random_small_complex(rng) for _ in range(10)]
+    complexes.append(coned_projective_plane())
+    for cx in complexes:
+        mf, _ = reduce_multifield(cx, basis)
+        for s, q in enumerate(basis.primes, start=1):
+            assert mf.project(s).pair_set() == boundary_pairs(cx, q)
 
 
 def test_single_prime_degenerates_to_single_field():
@@ -114,7 +119,7 @@ def test_axpy_accounting_and_bound():
     basis = PrimeBasis.of([2, 3, 5])
     for _ in range(10):
         cx = random_small_complex(rng)
-        mf, stats = reduce_multifield(cx, basis, clearing=False)
+        mf, stats = reduce_multifield(cx, basis)
         assert stats.axpy_count <= axpy_upper_bound(mf)
         # every axpy consults the partial-inverse memo exactly once
         assert stats.partial_inverse_count + stats.cache_hits == stats.axpy_count
@@ -166,26 +171,18 @@ def test_op_counts_on_acceptance_corpus_are_pinned():
     # may scan less, but it must do exactly this arithmetic
     rng = random.Random(2026)
     basis = PrimeBasis.of(CORPUS_PRIMES)
-    runs = {
-        "cohomology": {},
-        "no clearing": {"clearing": False},
-    }
-    totals = {name: [0, 0, 0] for name in runs}
+    totals = [0, 0, 0]
     for i in range(100):
         cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
-        for name, options in runs.items():
-            _, stats = reduce_multifield(cx, basis, **options)
-            totals[name][0] += stats.axpy_count
-            totals[name][1] += stats.partial_inverse_count
-            totals[name][2] += stats.cache_hits
-    assert totals == {
-        "cohomology": [1077, 183, 894],
-        "no clearing": [3381, 212, 3169],
-    }
+        _, stats = reduce_multifield(cx, basis)
+        totals[0] += stats.axpy_count
+        totals[1] += stats.partial_inverse_count
+        totals[2] += stats.cache_hits
+    assert totals == [1077, 183, 894]
 
 
 def test_large_prime_matches_projection():
-    # q >= 2^16 inverts by pow() in the single-field reduction
+    # a prime above 2^16, where field elements outgrow 16 bits
     rng = random.Random(67)
     basis = PrimeBasis.of([2, 65537])
     ops_total = 0

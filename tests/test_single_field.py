@@ -4,16 +4,11 @@ import random
 
 import pytest
 
-from mfph.single_field import (
-    _inverse_table,
-    betti_at,
-    reduce_single_field,
-    save_field_diagram,
-)
+from mfph.single_field import betti_at, reduce_single_field, save_field_diagram
 from mfph.complexes import load_filtration
 from mfph.generators import minimal_projective_plane
 
-from oracles import betti_prefix, filled_triangle, random_small_complex
+from oracles import betti_prefix, boundary_pairs, filled_triangle, random_small_complex
 
 
 def test_filled_triangle_pairs():
@@ -25,9 +20,6 @@ def test_filled_triangle_pairs():
     # meets the pivots of vertices 2 and 3, one axpy each; clearing then
     # skips the two paired edges, and the last edge pairs at once
     assert ops == 2
-    no_clear, ops2 = reduce_single_field(cx, 2, clearing=False)
-    assert no_clear.pair_set() == diagram.pair_set()
-    assert ops2 > 0
 
 
 def test_prime_validation():
@@ -38,21 +30,13 @@ def test_prime_validation():
         reduce_single_field(cx, 1)
 
 
-def test_inverse_table():
-    for q in (2, 3, 13, 251):
-        inv = _inverse_table(q)
-        for x in range(1, q):
-            assert x * inv[x] % q == 1
-
-
-def test_clearing_equivalence_random():
+def test_cleared_reduction_matches_boundary_oracle_random():
     rng = random.Random(23)
     for _ in range(20):
         cx = random_small_complex(rng)
         for q in (2, 3):
-            with_c, _ = reduce_single_field(cx, q, clearing=True)
-            without_c, _ = reduce_single_field(cx, q, clearing=False)
-            assert with_c.pair_set() == without_c.pair_set()
+            diagram, _ = reduce_single_field(cx, q)
+            assert diagram.pair_set() == boundary_pairs(cx, q)
 
 
 def test_betti_curves_match_rank_oracle():
@@ -105,7 +89,7 @@ def test_op_count_counts_axpys_only():
     from mfph.complexes import FilteredComplex
 
     cx = FilteredComplex([((1,), 0.0), ((2,), 0.0), ((1, 2), 1.0)])
-    diagram, ops = reduce_single_field(cx, 2, clearing=False)
+    diagram, ops = reduce_single_field(cx, 2)
     assert ops == 1
     assert diagram.pairs == ((1, None), (2, 3))
 
