@@ -5,16 +5,16 @@ A filtration is stored as one simplex per step, ordered by
 anti-transposed coboundary matrix: simplex i of m is column m+1-i, and
 its rows are m+1-j for its cofacets j.  Pivots are still the largest
 row, and each pivot (row k, column c) is the persistence pair
-(m+1-c, m+1-k).  The matrix is the transpose of the facet table that
-validation fills, so the first reduction builds every column in one
-sweep and later ones reuse them.  Columns are sorted sequences of
-(row, coefficient), with coefficients read modulo the working modulus
-Q: built columns hold the signs +1/-1, and the reducers start from them
+(m+1-c, m+1-k).  Validation fills one int32 facet table, kept for the
+life of the complex: row j holds the filtration indices of simplex j's
+facets.  The matrix is its transpose, so the first reduction builds
+every column in one sort and later ones reuse them; boundary_rows
+reads one row, for checks.  Columns are sorted sequences of (row,
+coefficient), with coefficients read modulo the working modulus Q:
+built columns hold the signs +1/-1, and the reducers start from them
 without a copy; column_axpy writes values in [1, Q).  An entry that is
 zero modulo some of the basis primes but not all of them stays in the
 column, which is what lets one column carry every field at once.
-boundary_rows gives one simplex's facet rows straight from index_of,
-uncached, for checks against the coboundary columns.
 
 `FilteredComplex(items)` and `load_filtration` feed one array ingest:
 it sorts each dimension's vertex rows as int64 arrays, checks ids,
@@ -69,9 +69,7 @@ class FilteredComplex:
     one simplex, and every value is finite.
     """
 
-    __slots__ = (
-        "simplices", "values", "index_of", "dims", "_facets", "_columns", "_order"
-    )
+    __slots__ = ("simplices", "values", "dims", "_facets", "_columns", "_order")
 
     def __init__(self, items):
         verts, values = tuple(zip(*items)) or ((), ())
@@ -171,46 +169,43 @@ class FilteredComplex:
         self.simplices: tuple[Simplex, ...] = tuple(map(ranked.__getitem__, perm.tolist()))
         # the caller's value objects, not copies
         self.values: tuple[float, ...] = tuple(map(values.__getitem__, origin.tolist()))
-        self.dims: tuple[int, ...] = tuple(dims[origin].tolist())
-        self.index_of: dict[Simplex, int] = dict(zip(self.simplices, range(1, len(perm) + 1)))
-        self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, origin)
+        dims = dims[origin]
+        self.dims: tuple[int, ...] = tuple(dims.tolist())
+        self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, dims, origin)
         self._columns = self._order = None  # built from the table on first use
 
-    def _facet_table(self, rows_by_dim, index_by_dim, origin) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per dimension d >= 1: the filtration indices of the d-simplices
-        (rows_by_dim[d], lexicographically sorted, at index_by_dim[d]) and,
-        at [n, p], the index of the n-th one's facet without vertex p
-        (int32), found by binary search among the row keys of the
-        (d-1)-simplices.  Raises _Fault for the first simplex, in
-        filtration order, with a face missing (at the simplex's input
-        position) or entering after it (at the face's).
+    def _facet_table(self, rows_by_dim, index_by_dim, dims, origin) -> np.ndarray:
+        """The (m+1) x (top+1) int32 facet table: at [j, p] the filtration
+        index of simplex j's facet without vertex p, or 0 for no entry,
+        found by binary search among the sorted rows_by_dim[d-1] (at
+        index_by_dim[d-1]); simplex j has dimension dims[j-1].  Raises
+        _Fault for the first simplex, in filtration order, with a face
+        missing (at the simplex's input position) or entering after it
+        (at the face's).
         """
-        table = []
-        fault = None  # (index, facet position, facet index or 0 if missing)
+        m, top = len(dims), len(rows_by_dim) - 1
+        table = np.zeros((m + 1, top + 1), dtype=np.int32)
         below_keys = below_index = None  # dimension d-1, then a sentinel
         for d, (rows, index) in enumerate(zip(rows_by_dim, index_by_dim)):
             rows = rows.astype(">i8")  # big-endian: keys sort as the rows do
-            if d:
-                facets = np.empty(rows.shape, dtype=np.int32)
-                for p in range(d + 1):
-                    key = _row_keys(np.delete(rows, p, axis=1))
-                    pos = np.searchsorted(below_keys, key)
-                    facets[:, p] = np.where(below_keys[pos] == key, below_index[pos], 0)
-                bad = (facets == 0) | (facets >= index[:, None])
-                hit = np.flatnonzero(bad.any(axis=1))
-                if hit.size:
-                    n = hit[np.argmin(index[hit])]
-                    if fault is None or index[n] < fault[0]:
-                        p = int(np.argmax(bad[n]))
-                        fault = (int(index[n]), p, int(facets[n, p]))
-                table.append((index, facets))
+            for p in range(d + 1 if d else 0):
+                key = _row_keys(np.delete(rows, p, axis=1))
+                pos = np.searchsorted(below_keys, key)
+                table[index, p] = np.where(below_keys[pos] == key, below_index[pos], 0)
             # the sentinel (all bytes 0xff) sorts after every key of
             # non-negative ids, so a search past the last row lands on it
             sentinel = _row_keys(np.full((1, d + 1), -1, ">i8"))
             below_keys = np.concatenate((_row_keys(rows), sentinel))
             below_index = np.append(index, np.int32(0))
-        if fault is not None:
-            j, p, face = fault
+        # entries 0..d of a d-simplex j, d >= 1, name simplices before j
+        dim = np.concatenate(([0], dims))[:, None]
+        need = (np.arange(top + 1) <= dim) & (dim > 0)
+        bad = need & ((table == 0) | (table >= np.arange(m + 1)[:, None]))
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            j = int(hit[0])
+            p = int(np.argmax(bad[j]))
+            face = int(table[j, p])
             verts = self.simplices[j - 1]
             facet = verts[:p] + verts[p + 1 :]
             if not face:
@@ -236,13 +231,9 @@ class FilteredComplex:
 
     def boundary_rows(self, j: int) -> tuple[tuple[int, int], ...]:
         """Facet rows of simplex j with signs +1/-1, sorted by row."""
-        verts = self.simplices[j - 1]
-        rows: list[tuple[int, int]] = []
-        if len(verts) > 1:
-            for i in range(len(verts)):
-                rows.append((self.index_of[verts[:i] + verts[i + 1 :]], 1 if i % 2 == 0 else -1))
-            rows.sort()
-        return tuple(rows)
+        d = self.dims[j - 1]
+        facets = self._facets[j, : d + 1].tolist() if d else ()
+        return tuple(sorted((f, -1 if p % 2 else 1) for p, f in enumerate(facets)))
 
     def coboundary_columns(self) -> list[tuple[tuple[int, int], ...]]:
         """The anti-transposed coboundary matrix, indexed by column: entry
@@ -250,7 +241,7 @@ class FilteredComplex:
         boundary of j) for every cofacet j, sorted by row; entry 0 and the
         columns of top-dimensional simplices are empty.  Built whole on
         first use; later calls return the same list."""
-        if self._facets is not None:
+        if self._columns is None:
             self._build_coboundary()
         return self._columns
 
@@ -260,33 +251,28 @@ class FilteredComplex:
         simplex index) within a dimension, so every pivot row a column
         could clear is known before that column is reached.  Built with
         the columns; later calls return the same tuple."""
-        if self._facets is not None:
+        if self._columns is None:
             self._build_coboundary()
         return self._order
 
     def _build_coboundary(self) -> None:
-        """One sort of the facet table's entries by (column, row), then
-        drop the table.  Each row's (row, +1) and (row, -1) are one tuple
-        each, shared by every column holding them."""
+        """One sort of the facet table's entries by (column, row).  Each
+        row's (row, +1) and (row, -1) are one tuple each, shared by every
+        column holding them."""
         m1 = len(self.simplices) + 1
         width = 2 * m1  # an entry's code is 2*row + (1 for sign -1)
-        parts = [np.zeros(0, dtype=np.int64)]
+        j, p = np.nonzero(self._facets)
         entry: list[tuple[int, int] | None] = [None] * width
-        for index, facets in self._facets:
-            rows = m1 - index.astype(np.int64)
-            for r in rows.tolist():
-                entry[2 * r : 2 * r + 2] = (r, 1), (r, -1)
-            cols = m1 - facets.astype(np.int64)
-            sign = np.arange(facets.shape[1]) % 2
-            parts.append((cols * width + 2 * rows[:, None] + sign).ravel())
-        keys = np.sort(np.concatenate(parts))
+        for r in (m1 - np.flatnonzero(self._facets.any(axis=1))).tolist():
+            entry[2 * r : 2 * r + 2] = (r, 1), (r, -1)
+        keys = (m1 - self._facets[j, p].astype(np.int64)) * width + 2 * (m1 - j) + p % 2
+        keys.sort()
         bounds = [0] + np.cumsum(np.bincount(keys // width, minlength=m1)).tolist()
         entries = tuple(map(entry.__getitem__, (keys % width).tolist()))
-        del parts, keys, entry
+        del j, p, keys, entry
         self._columns = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
         dims = np.array(self.dims[::-1], dtype=np.int64)
         self._order = tuple((np.argsort(dims, kind="stable") + 1).tolist())
-        self._facets = None
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -336,8 +322,10 @@ def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: i
 
 def data_lines(path):
     """Yield (line number, whitespace-split fields) for each line of a
-    text file that is neither blank nor a '#' comment."""
-    with open(path, "r", encoding="utf-8") as fh:
+    text file that is neither blank nor a '#' comment.  A byte that is
+    not UTF-8 reads as a lone surrogate, so the field holding it fails
+    to parse and its caller names the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.split()
             if fields and not fields[0].startswith("#"):

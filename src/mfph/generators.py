@@ -36,11 +36,20 @@ POINT_PRNG = "pcg64"
 SHAPES = ("cube-uniform", "sphere-S3", "klein-bottle-R5")
 
 
+_BLOCK_CELLS = 1 << 20  # coordinate differences distance_matrix holds at once
+
+
 def distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, (n, n) symmetric with zero diagonal."""
+    """Pairwise Euclidean distances, (n, n) symmetric with zero diagonal,
+    by blocks of rows; the bytes do not depend on the block size."""
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    n, dim = pts.shape
+    out = np.empty((n, n))
+    step = max(1, _BLOCK_CELLS // max(1, n * dim))
+    for a in range(0, n, step):
+        diff = pts[a : a + step, None, :] - pts[None, :, :]
+        out[a : a + step] = np.sqrt((diff * diff).sum(axis=2))
+    return out
 
 
 def _flag_complex(n: int, eu, ew, ev, max_dim: int) -> FilteredComplex:
@@ -126,21 +135,21 @@ def rips_filtration(
     return _flag_complex(len(dm), eu, ew, dm[eu, ew], max_dim)
 
 
-def _unrank_pair(t: int, n: int) -> tuple[int, int]:
-    i = 0
-    while t >= n - 1 - i:
-        t -= n - 1 - i
-        i += 1
-    return i, i + 1 + t
-
-
-def _unrank_triple(t: int, n: int) -> tuple[int, int, int]:
-    i = 0
-    while t >= math.comb(n - 1 - i, 2):
-        t -= math.comb(n - 1 - i, 2)
-        i += 1
-    j, k = _unrank_pair(t, n - 1 - i)
-    return i, i + 1 + j, i + 1 + k
+def _unrank(ranks, n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) with the given lexicographic ranks (the
+    order of itertools.combinations), one ascending int64 row each."""
+    left = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(left), k), dtype=np.int64)
+    lo = np.zeros(len(left), dtype=np.int64)
+    for i in range(k):
+        # before[v]: the (k-i)-subsets of range(n) whose least element is
+        # < v; element i is the largest v with before[v] - before[lo] <= left
+        before = np.cumsum([0] + [math.comb(n - 1 - v, k - 1 - i) for v in range(n)])
+        left = left + before[lo]
+        out[:, i] = v = np.searchsorted(before, left, side="right") - 1
+        left = left - before[v]
+        lo = v + 1
+    return out
 
 
 def linial_meshulam(n: int, m_triangles: int, seed: int) -> FilteredComplex:
@@ -155,13 +164,13 @@ def linial_meshulam(n: int, m_triangles: int, seed: int) -> FilteredComplex:
     if not 0 <= m_triangles <= total:
         raise ValueError(f"m_triangles must be in [0, {total}]")
     rng = random.Random(seed)
-    items: list[tuple[tuple[int, ...], float]] = [((v,), 0.0) for v in range(n)]
-    items.extend(
-        ((u, v), 0.0) for u in range(n) for v in range(u + 1, n)
-    )
-    for val, t in enumerate(rng.sample(range(total), m_triangles), start=1):
-        items.append((_unrank_triple(t, n), float(val)))
-    return FilteredComplex(items)
+    triangles = _unrank(rng.sample(range(total), m_triangles), n, 3)
+    edges = np.column_stack(np.triu_indices(n, 1))
+    flat = np.concatenate((np.arange(n), edges.ravel(), triangles.ravel()))
+    dims = np.repeat([0, 1, 2], [n, len(edges), m_triangles])
+    values = [0.0] * (n + len(edges)) + list(map(float, range(1, m_triangles + 1)))
+    # looked up through the module, as in _flag_complex
+    return complexes.FilteredComplex._from_flat(flat, dims, values)
 
 
 def random_flag(n: int, m_edges: int, max_dim: int, seed: int) -> FilteredComplex:
@@ -179,12 +188,7 @@ def random_flag(n: int, m_edges: int, max_dim: int, seed: int) -> FilteredComple
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     rng = random.Random(seed)
-    rank = np.array(rng.sample(range(total), m_edges), dtype=np.int64)
-    # the width[u] pairs (u, w), w > u, have the lexicographic ranks start[u], ...
-    width = np.arange(n - 1, -1, -1)
-    start = np.cumsum(width) - width
-    eu = np.searchsorted(start, rank, side="right") - 1
-    ew = eu + 1 + rank - start[eu]
+    eu, ew = _unrank(rng.sample(range(total), m_edges), n, 2).T
     return _flag_complex(n, eu, ew, np.arange(1.0, m_edges + 1), max_dim)
 
 
@@ -282,13 +286,12 @@ def load_points(path) -> np.ndarray:
     for lineno, fields in data_lines(path):
         try:
             rows.append([finite_float(x) for x in fields])
+            if len(fields) != len(rows[0]):
+                raise ValueError(f"inconsistent point dimensions: {len(fields)}, not {len(rows[0])}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad coordinate line: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no points")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: inconsistent point dimensions")
     return np.array(rows, dtype=float)
 
 

@@ -42,35 +42,43 @@ def mod_rank(rows, q):
     return rank
 
 
+def boundary_facets(cx):
+    """Entry j (1..m) lists simplex j's facets as (index, sign), the
+    facet without vertex ell signed (-1)^ell, found by a simplex -> index
+    dict built here from cx.simplices; entry 0 is empty."""
+    index = {s: j for j, s in enumerate(cx.simplices, start=1)}
+    facets = [[]]
+    for verts in cx.simplices:
+        ells = range(len(verts)) if len(verts) > 1 else ()
+        facets.append([(index[verts[:ell] + verts[ell + 1 :]], (-1) ** ell) for ell in ells])
+    return facets
+
+
 def boundary_dense(cx, d, t):
     """Dense matrix of the d-boundary of the prefix complex K_t."""
     if d == 0:
         return []
     rows = [j for j in range(1, t + 1) if cx.dim(j) == d - 1]
     cols = [j for j in range(1, t + 1) if cx.dim(j) == d]
-    row_pos = {j: i for i, j in enumerate(rows)}
+    row_pos = {cx.simplex(j): i for i, j in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
     for c, j in enumerate(cols):
         verts = cx.simplex(j)
         for ell in range(len(verts)):
-            face = verts[:ell] + verts[ell + 1 :]
-            mat[row_pos[cx.index_of[face]]][c] = (-1) ** ell
+            mat[row_pos[verts[:ell] + verts[ell + 1 :]]][c] = (-1) ** ell
     return mat
 
 
 def boundary_pairs(cx, q):
     """Persistence pairs of cx over Z/qZ by the standard left-to-right
     reduction of the boundary matrix: (birth, death) for each pivot and
-    (birth, None) for each index that is neither.  Columns are built from
-    cx.simplex and cx.index_of, as in boundary_dense."""
+    (birth, None) for each index that is neither.  Columns come from
+    boundary_facets."""
     reduced = {}  # pivot row -> reduced column {row: coefficient}
     pairs = set()
+    facets = boundary_facets(cx)
     for j in range(1, len(cx) + 1):
-        verts = cx.simplex(j)
-        col = {}
-        if len(verts) > 1:
-            for ell in range(len(verts)):
-                col[cx.index_of[verts[:ell] + verts[ell + 1 :]]] = (-1) ** ell % q
+        col = {face: sign % q for face, sign in facets[j]}
         low = max(col, default=None)
         while low in reduced:
             other = reduced[low]

@@ -58,25 +58,29 @@ def test_run_bench_both_mode():
 
 
 def test_run_bench_times_warm_columns(monkeypatch):
-    # the untimed warm-up builds the whole coboundary matrix; the timed
-    # modular route finds that same list and builds nothing
+    # the untimed warm-up builds the whole coboundary matrix without a
+    # reduction; every timed route finds that same list and builds nothing
     seen = []
-    original = mfph.bench.reduce_multifield
 
-    def spy(cx, basis, **kwargs):
-        before = cx._columns
-        result = original(cx, basis, **kwargs)
-        seen.append((before, cx._columns))
-        return result
+    def spy(name):
+        original = getattr(mfph.bench, name)
 
-    monkeypatch.setattr(mfph.bench, "reduce_multifield", spy)
+        def timed(cx, *args):
+            before = cx._columns
+            result = original(cx, *args)
+            seen.append((name, before, cx._columns))
+            return result
+
+        monkeypatch.setattr(mfph.bench, name, timed)
+
+    spy("reduce_multifield")
+    spy("reduce_single_field")
     cx = minimal_projective_plane()
     run_bench(cx, [2, 3], mode="both", repeats=1)
-    assert len(seen) == 2
-    (cold, built), (warm, kept) = seen
-    assert cold is None and built is not None
-    assert warm is built and kept is built
-    assert cx.coboundary_columns() is built and cx._facets is None
+    assert [name for name, _, _ in seen] == ["reduce_multifield"] + ["reduce_single_field"] * 2
+    built = cx.coboundary_columns()
+    assert built is not None
+    assert all(before is built and after is built for _, before, after in seen)
     # columns 1..31 plus the unused entry 0; the 10 triangles are
     # top-dimensional and their columns empty
     assert len(built) == 32

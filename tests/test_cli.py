@@ -404,6 +404,14 @@ MALFORMED = [
     ("ok.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "nan"], "rho"),
     ("negrho.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "-1e-3"], "rho"),
     ("infrho.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "-inf"], "rho"),
+    # a byte that is not UTF-8 fails its field, named by file and line;
+    # in a comment line it is skipped with the line
+    ("byte.flt", b"0 0 0\n0 1 0\n1 0 \xff1 1\n", ["reduce", "--input"], [], "byte.flt:3: bad simplex"),
+    ("comment.flt", b"# caf\xe9\n0 0 0\n0 0 1\n", ["torsion", "--input"], [], "comment.flt:3: duplicate"),
+    ("byte.pts", b"0 0\n1 \xff\n", ["rips", "--points"], ["--rho", "2"], "byte.pts:2: bad coordinate"),
+    ("byte.dist", b"1\n1 \xff\n", ["rips", "--distances"], ["--rho", "2"], "byte.dist:2: bad distance"),
+    # the first line whose width differs from the first line's
+    ("width.pts", "0 0\n1 0\n0 1 2\n1 1\n", ["rips", "--points"], ["--rho", "2"], "width.pts:3"),
 ]
 
 
@@ -414,7 +422,7 @@ def test_malformed_input_exits_2_with_its_location(
     tmp_path, capsys, name, text, command, args, where
 ):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     if command[0] == "rips":
         args = [*args, "--max-dim", "2", "--out", str(tmp_path / "out.flt")]
     # an exception escaping main would fail the test with its traceback

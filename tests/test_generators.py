@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
+from mfph import generators
 from mfph.generators import (
     _flag_complex,
     _klein_points,
-    _unrank_pair,
-    _unrank_triple,
+    _unrank,
     distance_matrix,
     linial_meshulam,
     load_distance_matrix,
@@ -125,15 +125,18 @@ def test_rips_max_dim_zero():
 
 
 def test_unrank_pair_matches_lexicographic():
-    n = 9
-    expect = list(itertools.combinations(range(n), 2))
-    assert [_unrank_pair(t, n) for t in range(math.comb(n, 2))] == expect
+    for n in (1, 2, 9):
+        expect = list(itertools.combinations(range(n), 2))
+        assert list(map(tuple, _unrank(range(math.comb(n, 2)), n, 2).tolist())) == expect
+    assert _unrank([], 5, 2).shape == (0, 2)
 
 
 def test_unrank_triple_matches_lexicographic():
-    n = 9
-    expect = list(itertools.combinations(range(n), 3))
-    assert [_unrank_triple(t, n) for t in range(math.comb(n, 3))] == expect
+    for n in (3, 4, 9, 13):
+        expect = list(itertools.combinations(range(n), 3))
+        # ranks in a shuffled order unrank row by row
+        ranks = random.Random(n).sample(range(len(expect)), len(expect))
+        assert list(map(tuple, _unrank(ranks, n, 3).tolist())) == [expect[t] for t in ranks]
 
 
 def test_linial_meshulam_shape():
@@ -383,6 +386,20 @@ def test_load_distance_matrix_errors(tmp_path):
     path.write_text("1.0\nx y\n")
     with pytest.raises(ValueError, match=r"dist\.txt:2"):
         load_distance_matrix(path)
+
+
+def test_distance_matrix_blocks_match_one_shot(monkeypatch):
+    # one reduction per distance: block sizes change no byte, also from
+    # D = 8 on, where summing per coordinate would differ
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 5, 8, 9, 17, 64):
+        pts = rng.normal(size=(41, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        diff = pts[:, None, :] - pts[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=2)).tobytes()
+        for cells in (1, 100, 41 * dim * 3, 1 << 20):
+            monkeypatch.setattr(generators, "_BLOCK_CELLS", cells)
+            assert distance_matrix(pts).tobytes() == want
+    assert distance_matrix(np.zeros((0, 3))).shape == (0, 0)
 
 
 def test_distance_matrix_values():

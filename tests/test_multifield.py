@@ -139,7 +139,7 @@ def test_save_multifield_diagram_format(tmp_path):
 
 
 def test_homology_and_cohomology_agree_on_corpus():
-    # the oracle reduces the boundary matrix, built from index_of, and
+    # the oracle reduces the boundary matrix, built from cx.simplices, and
     # not the coboundary columns that both library reducers read
     rng = random.Random(2026)
     basis = PrimeBasis.of([2, 3, 5, 7, 11])
@@ -152,7 +152,7 @@ def test_homology_and_cohomology_agree_on_corpus():
 
 def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
     # the 100 filtrations of the acceptance corpus; both oracles read
-    # index_of, not the coboundary columns
+    # cx.simplices, not the coboundary columns
     rng = random.Random(2026)
     basis = PrimeBasis.of(CORPUS_PRIMES)
     for i in range(100):
