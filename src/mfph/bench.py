@@ -5,7 +5,7 @@ wall times of the r per-field runs, and R_r = T_bf / T_r the speedup.
 P_F counts the pairs (finite or essential) of one field's diagram and
 P_r the distinct pairings of the multi-field diagram, so P_r - max P_F
 measures the extra entries introduced by torsion.  lambda_q is the
-machine-word length of the CRT modulus Q; lambda_bound is a closed-form
+64-bit word length of the CRT modulus Q; lambda_bound is a closed-form
 prime-theoretic estimate of it for the first r primes.
 """
 
@@ -36,23 +36,23 @@ __all__ = [
 ]
 
 
-def lambda_bound(r: int, word_size: int = 64) -> int:
-    """Closed-form word-length estimate for the product of the first r primes.
+def lambda_bound(r: int) -> int:
+    """Closed-form 64-bit word-length estimate for the product of the
+    first r primes.
 
-    floor(1.46613 * r * ln(r * ln r) / w) + 1; the r = 1 product is the
+    floor(1.46613 * r * ln(r * ln r) / 64) + 1; the r = 1 product is the
     single prime 2, one word.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if r == 1:
         return 1
-    return math.floor(1.46613 * r * math.log(r * math.log(r)) / word_size) + 1
+    return math.floor(1.46613 * r * math.log(r * math.log(r)) / 64) + 1
 
 
 @dataclass(frozen=True)
 class BenchReport:
     primes: tuple[int, ...]
-    word_size: int
     repeats: int
     n_simplices: int
     max_dim: int
@@ -103,7 +103,6 @@ def run_bench(
     primes,
     mode: str = "both",
     repeats: int = 3,
-    word_size: int = 64,
 ) -> tuple[BenchReport, MultiFieldDiagram]:
     """Time the modular reduction and optionally its brute-force baseline.
 
@@ -150,7 +149,6 @@ def run_bench(
 
     report = BenchReport(
         primes=basis.primes,
-        word_size=word_size,
         repeats=repeats,
         n_simplices=len(cx),
         max_dim=cx.max_dim,
@@ -164,8 +162,8 @@ def run_bench(
         partial_inverse_count=stats.partial_inverse_count,
         cache_hits=stats.cache_hits,
         single_field_ops=single_ops,
-        lambda_q=word_length(basis.product, word_size),
-        lambda_q_bound=lambda_bound(basis.r, word_size),
+        lambda_q=word_length(basis.product),
+        lambda_q_bound=lambda_bound(basis.r),
     )
     return report, mf
 
@@ -175,7 +173,7 @@ def bench_text(report: BenchReport) -> str:
         f"complex: {report.n_simplices} simplices, max dim {report.max_dim}",
         f"fields: r={report.r} primes {report.primes[0]}..{report.primes[-1]},"
         f" lambda(Q)={report.lambda_q} words (bound {report.lambda_q_bound})"
-        f" at w={report.word_size}",
+        " at w=64",
         f"T_r = {report.t_r:.4f} s (median of {report.repeats})",
     ]
     if report.t_bf is not None:
@@ -203,7 +201,7 @@ def bench_csv_rows(reports) -> list[str]:
         t_bf = f"{rep.t_bf:.6f}" if rep.t_bf is not None else ""
         ratio = f"{rep.ratio:.4f}" if rep.ratio is not None else ""
         rows.append(
-            f"{rep.r},{rep.word_size},{rep.lambda_q},{rep.lambda_q_bound},"
+            f"{rep.r},64,{rep.lambda_q},{rep.lambda_q_bound},"
             f"{rep.t_r:.6f},{t_bf},{ratio},{rep.p_r},{max(rep.p_f)},"
             f"{rep.axpy_count},{rep.partial_inverse_count},{rep.cache_hits}"
         )

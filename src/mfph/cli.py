@@ -11,7 +11,6 @@ or modular and brute-force runs disagree).
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
@@ -24,7 +23,7 @@ from .bench import (
     window_csv_rows,
     window_text,
 )
-from .complexes import load_filtration, save_filtration
+from .complexes import format_value, load_filtration, save_filtration
 from .crt import InconsistencyError, PrimeBasis, first_primes
 from .generators import (
     COMPLEX_PRNG,
@@ -199,13 +198,15 @@ def _cmd_torsion(args) -> int:
     print(torsion_report(profile))
     if args.annotate:
         print("superimposed diagram points:")
-        plists: dict[tuple[int, ...], str] = {}  # points share a few prime lists
-        for dim, bval, dval, qs in annotate_diagram(mf):
-            dstr = "inf" if math.isinf(dval) else f"{dval:g}"
-            plist = plists.get(qs)
-            if plist is None:
-                plist = plists[qs] = ",".join(map(str, qs))
-            print(f"  d={dim} birth={bval:g} death={dstr} primes={plist}")
+        points = annotate_diagram(mf)
+        # points share a few prime lists and repeat values: format each once
+        values = {v for _, b, d, _ in points for v in (b, d)}
+        text = {v: format_value(v) for v in values}
+        plists = {qs: ",".join(map(str, qs)) for qs in {p[3] for p in points}}
+        sys.stdout.writelines(
+            f"  d={dim} birth={text[b]} death={text[d]} primes={plists[qs]}\n"
+            for dim, b, d, qs in points
+        )
     if args.csv:
         _write_lines(args.csv, torsion_csv_rows(profile))
     return EXIT_OK
@@ -224,13 +225,7 @@ def _cmd_bench(args) -> int:
         bases = [first_primes(2)]
     reports = []
     for primes in bases:
-        report, _mf = run_bench(
-            cx,
-            primes,
-            mode=args.mode,
-            repeats=args.repeats,
-            word_size=args.word_size,
-        )
+        report, _mf = run_bench(cx, primes, mode=args.mode, repeats=args.repeats)
         reports.append(report)
         print(bench_text(report))
         print()
@@ -321,7 +316,6 @@ def build_parser() -> _Parser:
         help="'both' verifies agreement before reporting timings",
     )
     p.add_argument("--repeats", type=int, default=3, help="median of this many runs")
-    p.add_argument("--word-size", type=int, default=64)
     p.add_argument("--csv", help="write one CSV row per r here")
     p.set_defaults(func=_cmd_bench)
 

@@ -85,16 +85,11 @@ def first_primes(r: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PrimeBasis:
-    """The splitting Z/QZ = Z/q_1Z x ... x Z/q_rZ, q_s distinct primes.
-
-    idempotents[s-1] is the canonical preimage of the residue vector
-    (0,...,0,1,0,...,0) with the 1 in field s, computed once as
-    (Q/q_s)^(q_s - 1) mod Q.  Immutable and safe to share.
-    """
+    """The splitting Z/QZ = Z/q_1Z x ... x Z/q_rZ, q_s distinct primes;
+    immutable and safe to share."""
 
     primes: tuple[int, ...]
     product: int
-    idempotents: tuple[int, ...]
 
     @staticmethod
     def of(primes) -> "PrimeBasis":
@@ -106,9 +101,7 @@ class PrimeBasis:
         for q in ps:
             if not is_prime(q):
                 raise ValueError(f"{q} is not prime")
-        q_all = math.prod(ps)
-        idem = tuple(pow(q_all // q, q - 1, q_all) for q in ps)
-        return PrimeBasis(ps, q_all, idem)
+        return PrimeBasis(ps, math.prod(ps))
 
     @staticmethod
     def first(r: int) -> "PrimeBasis":
@@ -118,23 +111,17 @@ class PrimeBasis:
     def r(self) -> int:
         return len(self.primes)
 
-    def field_of(self, q: int) -> int:
-        """1-based index of prime q in the basis."""
-        try:
-            return self.primes.index(q) + 1
-        except ValueError:
-            raise ValueError(f"{q} is not a basis prime") from None
 
-    def mask_fields(self, mask: int) -> tuple[int, ...]:
-        """1-based field indices whose primes divide mask; validates mask | Q."""
-        if mask < 1 or self.product % mask != 0:
-            raise ValueError(f"mask {mask} does not divide the basis product")
-        return tuple(s + 1 for s, q in enumerate(self.primes) if mask % q == 0)
+def _check_mask(basis: PrimeBasis, mask: int) -> None:
+    if mask < 1 or basis.product % mask != 0:
+        raise ValueError(f"mask {mask} does not divide the basis product")
 
 
 def mask_primes(basis: PrimeBasis, mask: int) -> tuple[int, ...]:
-    """The primes making up a modulus mask, in basis order."""
-    return tuple(basis.primes[s - 1] for s in basis.mask_fields(mask))
+    """The primes making up a modulus mask, in basis order; ValueError
+    unless mask divides Q."""
+    _check_mask(basis, mask)
+    return tuple(q for q in basis.primes if mask % q == 0)
 
 
 def crt_combine(basis: PrimeBasis, residues) -> int:
@@ -145,7 +132,7 @@ def crt_combine(basis: PrimeBasis, residues) -> int:
     for u, q in zip(us, basis.primes):
         if not 0 <= u < q:
             raise ValueError(f"residue {u} out of range for prime {q}")
-    return sum(u * e for u, e in zip(us, basis.idempotents)) % basis.product
+    return sum(u * partial_identity(basis, q) for u, q in zip(us, basis.primes)) % basis.product
 
 
 def crt_project(basis: PrimeBasis, x: int, s: int) -> int:
@@ -156,11 +143,14 @@ def crt_project(basis: PrimeBasis, x: int, s: int) -> int:
 
 
 def partial_identity(basis: PrimeBasis, mask: int) -> int:
-    """L_S: the element that is 1 mod q_s for s in S, 0 mod the rest."""
-    if mask == basis.product:
-        return 1
-    fields = basis.mask_fields(mask)
-    return sum(basis.idempotents[s - 1] for s in fields) % basis.product
+    """L_S: the element that is 1 mod q_s for s in S, 0 mod the rest.
+
+    With c = Q / Q_S, it is c * (c^-1 mod Q_S): c vanishes on the fields
+    outside S, and the product is below c * Q_S = Q.
+    """
+    _check_mask(basis, mask)
+    c = basis.product // mask
+    return c * pow(c, -1, mask)
 
 
 def partial_inverse(basis: PrimeBasis, x: int, mask: int) -> tuple[int, int]:
@@ -168,24 +158,22 @@ def partial_inverse(basis: PrimeBasis, x: int, mask: int) -> tuple[int, int]:
 
     Returns (xbar, t_mask) where t_mask = Q_T for T = {s in S : q_s does
     not divide x}; xbar = x^-1 mod q_s for s in T and 0 mod every other
-    field.  x = 0 (nothing invertible) yields (0, 1).
+    field, computed as c * ((x * c)^-1 mod Q_T) with c = Q / Q_T.  x = 0
+    (nothing invertible) yields (0, 1).
     """
-    if mask < 1 or basis.product % mask != 0:
-        raise ValueError(f"mask {mask} does not divide the basis product")
+    _check_mask(basis, mask)
     t_mask = mask // math.gcd(x, mask)
     if t_mask == 1:
         return 0, 1
+    c = basis.product // t_mask
     try:
-        v = pow(x, -1, t_mask)
+        return c * pow(x * c, -1, t_mask), t_mask
     except ValueError:
         raise InconsistencyError(f"{x} is not a unit modulo {t_mask}") from None
-    return v * partial_identity(basis, t_mask) % basis.product, t_mask
 
 
-def word_length(n: int, w: int = 64) -> int:
-    """Number of w-bit words needed to encode n >= 1."""
+def word_length(n: int) -> int:
+    """Number of 64-bit words needed to encode n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    return (n.bit_length() - 1) // w + 1
+    return (n.bit_length() - 1) // 64 + 1

@@ -113,7 +113,6 @@ def reduce_multifield(
     reduced: dict[int, SparseColumn] = {}
     # row -> [(column, mask, pivot coefficient)], masks pairwise coprime
     registry: dict[int, list[tuple[int, int, int]]] = {}
-    pivots: list[tuple[int, int, int]] = []  # (row, column, mask)
     row_mask = [1] * (m + 1)
     col_mask = [1] * (m + 1)
     inv_cache: dict[tuple[int, int], int] = {}
@@ -175,7 +174,6 @@ def reduce_multifield(
             if mask_t != 1:
                 if changed:
                     ck = _coeff_at(col, k)
-                pivots.append((k, j, mask_t))
                 registry.setdefault(k, []).append((j, mask_t, ck))
                 row_mask[k] *= mask_t
                 col_mask[j] *= mask_t
@@ -194,8 +192,8 @@ def reduce_multifield(
             essentials.append((i, q_all // covered))
 
     # a pivot (row k, column j) of the anti-transposed coboundary matrix
-    # pairs birth m+1-j with death m+1-k
-    triples = [(m + 1 - j, m + 1 - k, mask) for k, j, mask in pivots]
+    # pairs birth m+1-j with death m+1-k; a column registers at a row once
+    triples = [(m + 1 - j, m + 1 - k, mask) for k, row in registry.items() for j, mask, _ in row]
     triples.sort(key=lambda tr: (tr[0], tr[1]))
     essentials = [(m + 1 - i, mask) for i, mask in reversed(essentials)]
     diagram = MultiFieldDiagram(

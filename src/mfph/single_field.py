@@ -17,7 +17,6 @@ from .crt import is_prime
 
 __all__ = [
     "FieldDiagram",
-    "betti_at",
     "reduce_single_field",
     "save_field_diagram",
 ]
@@ -84,15 +83,6 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
     pairs.sort(key=lambda p: p[0])
     dims = tuple(cx.dims[i - 1] for i, _ in pairs)
     return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims), ops
-
-
-def betti_at(diagram: FieldDiagram, t: int, d: int) -> int:
-    """Classes of dimension d alive at index t: birth <= t < death."""
-    count = 0
-    for (birth, death), dim in zip(diagram.pairs, diagram.dims):
-        if dim == d and birth <= t and (death is None or death > t):
-            count += 1
-    return count
 
 
 def save_field_diagram(diagram: FieldDiagram, cx: FilteredComplex, path) -> None:

@@ -161,6 +161,16 @@ def betti_prefix(cx, q, t=None, d_max=None):
     return betti
 
 
+def betti_at(diagram, t, d):
+    """Per-field Betti oracle for betti_table: the classes of dimension d
+    in a FieldDiagram that are alive at index t (birth <= t < death)."""
+    count = 0
+    for (birth, death), dim in zip(diagram.pairs, diagram.dims):
+        if dim == d and birth <= t and (death is None or death > t):
+            count += 1
+    return count
+
+
 def random_small_complex(rng, max_simplices=300):
     """A random flag or Linial-Meshulam filtration with at most 300 simplices."""
     while True:

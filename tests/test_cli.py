@@ -1,6 +1,9 @@
 """End-to-end CLI checks: every verb, file outputs, exit codes."""
 
 import hashlib
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +222,21 @@ def test_torsion_report(rp2_file, tmp_path, capsys):
     assert "31,1,0,2,1" in rows
 
 
+def test_annotate_prints_values_in_full(tmp_path, capsys):
+    # 1.0000001 and 1.0000002 agree to six significant digits, so a
+    # six-digit format would print the two essential points as one line
+    path = tmp_path / "close.flt"
+    path.write_text("0 0 0\n0 1 1.0000001\n0 2 1.0000002\n1 0 1 1234567.25\n")
+    assert cli.main(["torsion", "--input", str(path), "-r", "2", "--annotate"]) == 0
+    stdout = capsys.readouterr().out
+    points = stdout.split("superimposed diagram points:\n")[1].splitlines()
+    assert points == [
+        "  d=0 birth=0 death=inf primes=2,3",
+        "  d=0 birth=1.0000001 death=1234567.25 primes=2,3",
+        "  d=0 birth=1.0000002 death=inf primes=2,3",
+    ]
+
+
 def test_torsion_reference_warning(rp2_file, capsys):
     code = cli.main(
         ["torsion", "--input", rp2_file, "--primes", "2,3", "--reference", "1"]
@@ -242,6 +260,35 @@ def test_bench_sweep_csv(triangle_file, tmp_path, capsys):
     assert rows[0].startswith("r,word_size,")
     assert len(rows) == 3
     assert rows[1].startswith("1,64,") and rows[2].startswith("2,64,")
+
+
+def test_bench_word_size_is_64(triangle_file, tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    argv = ["bench", "--input", triangle_file, "-r", "1,3", "--repeats", "1"]
+    assert cli.main(argv + ["--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.count(" at w=64\n") == 2
+    header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    column = header.index("word_size")
+    assert column == 1 and [row[column] for row in rows] == ["64", "64"]
+    # the word size is not an option
+    assert cli.main(argv + ["--word-size", "32"]) == 1
+    assert "unrecognized arguments: --word-size 32" in capsys.readouterr().err
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mfph ")]
+
+
+def test_readme_commands_parse():
+    # a flag dropped from the CLI but left in the README fails here
+    commands = _readme_commands()
+    assert len(commands) == 11
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func is not None, argv
 
 
 def test_window_runs(tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""CRT layer: primes, idempotents, partial identities/inverses."""
+"""CRT layer: primes, masks, the closed-form partial identities and
+partial inverses (checked against the idempotent sums they replace), and
+64-bit word length."""
 
 import math
 import random
@@ -37,19 +39,27 @@ def test_is_prime():
     assert not is_prime(561) and not is_prime(341) and not is_prime(169)
 
 
+def _idempotent(Q, q):
+    """The one-field idempotent by Fermat: (Q/q)^(q-1) mod Q."""
+    return pow(Q // q, q - 1, Q)
+
+
 def test_idempotents():
-    basis = PrimeBasis.of([2, 3, 5, 7])
-    Q = basis.product
-    assert Q == 210
-    for s, nu in enumerate(basis.idempotents, start=1):
-        for t, q in enumerate(basis.primes, start=1):
-            assert nu % q == (1 if s == t else 0)
-        assert nu * nu % Q == nu
-    assert sum(basis.idempotents) % Q == 1
-    nus = basis.idempotents
-    for s in range(4):
-        for t in range(s + 1, 4):
-            assert nus[s] * nus[t] % Q == 0
+    # partial_identity of one prime is the field's idempotent: 1 in that
+    # field, 0 in the others; the r of them are orthogonal and sum to 1
+    for r in (4, 100):
+        basis = PrimeBasis.first(r)
+        Q = basis.product
+        nus = [partial_identity(basis, q) for q in basis.primes]
+        assert nus == [_idempotent(Q, q) for q in basis.primes]
+        for s, nu in enumerate(nus):
+            for t, q in enumerate(basis.primes):
+                assert nu % q == (1 if s == t else 0)
+            assert nu * nu % Q == nu
+        assert sum(nus) % Q == 1
+        for s in range(r):
+            for t in range(s + 1, r):
+                assert nus[s] * nus[t] % Q == 0
 
 
 def test_basis_validation():
@@ -60,7 +70,6 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         PrimeBasis.of([])
     assert PrimeBasis.first(3).primes == (2, 3, 5)
-    assert PrimeBasis.of([2, 3]).field_of(3) == 2
 
 
 def test_crt_roundtrip_exhaustive():
@@ -82,16 +91,20 @@ def test_crt_combine_validation():
         crt_project(basis, 1, 3)
 
 
-def test_mask_fields():
+def test_mask_primes():
     basis = PrimeBasis.of([2, 3, 5, 7])
-    assert basis.mask_fields(1) == ()
-    assert basis.mask_fields(210) == (1, 2, 3, 4)
-    assert basis.mask_fields(15) == (2, 3)
+    assert mask_primes(basis, 1) == ()
+    assert mask_primes(basis, 210) == (2, 3, 5, 7)
+    assert mask_primes(basis, 15) == (3, 5)
     assert mask_primes(basis, 14) == (2, 7)
-    with pytest.raises(ValueError):
-        basis.mask_fields(4)
-    with pytest.raises(ValueError):
-        basis.mask_fields(11)
+    # basis order, not sorted order
+    assert mask_primes(PrimeBasis.of([7, 2, 5]), 14) == (7, 2)
+    for bad in (4, 11, 0, -6):
+        with pytest.raises(ValueError, match=f"mask {bad} does not divide"):
+            mask_primes(basis, bad)
+    for fn in (partial_identity, lambda b, m: partial_inverse(b, 1, m)):
+        with pytest.raises(ValueError, match="does not divide"):
+            fn(basis, 4)
 
 
 def test_partial_identity():
@@ -118,6 +131,7 @@ def test_partial_inverse_law_exhaustive():
             xbar, t_mask = partial_inverse(basis, x, mask)
             g = math.gcd(x, mask)
             assert t_mask == mask // g
+            assert 0 <= xbar < Q
             assert x * xbar % Q == partial_identity(basis, t_mask)
             for p in primes:
                 if t_mask % p == 0:
@@ -139,10 +153,40 @@ def test_word_length():
     assert word_length(1) == 1
     assert word_length(2**64 - 1) == 1
     assert word_length(2**64) == 2
-    assert word_length(2**128 - 1, 64) == 2
-    assert word_length(255, 8) == 1
+    assert word_length(2**128 - 1) == 2
+    assert word_length(2**128) == 3
+    with pytest.raises(ValueError):
+        word_length(0)
     # the defining formula gives 5/12/27 words for the first 50/100/200
     # prime products at w = 64 (their closed-form estimates are larger;
     # see lambda_bound in the bench module)
     for r, words in ((50, 5), (100, 12), (200, 27)):
         assert word_length(math.prod(first_primes(r))) == words
+
+
+def test_closed_forms_match_the_idempotent_sums():
+    # the CRT element is unique in [0, Q), so the closed forms must give
+    # the integers of the summed-idempotent formulas: L_S = sum of the
+    # idempotents over S, xbar = (x^-1 mod Q_T) * L_T mod Q
+    rng = random.Random(5)
+    for r in (25, 100):
+        basis = PrimeBasis.first(r)
+        Q = basis.product
+
+        def identity_sum(mask):
+            return sum(_idempotent(Q, q) for q in basis.primes if mask % q == 0) % Q
+
+        residues = [rng.randrange(q) for q in basis.primes]
+        assert crt_combine(basis, residues) == (
+            sum(u * _idempotent(Q, q) for u, q in zip(residues, basis.primes)) % Q
+        )
+        for _ in range(40):
+            mask = math.prod(q for q in basis.primes if rng.random() < 0.6)
+            assert partial_identity(basis, mask) == identity_sum(mask)
+            x = rng.randrange(Q)
+            # a few primes of the mask divide x, so T is a proper subset
+            x = x * math.prod(q for q in basis.primes[:8] if rng.random() < 0.3) % Q
+            xbar, t_mask = partial_inverse(basis, x, mask)
+            assert t_mask == mask // math.gcd(x, mask)
+            want = pow(x, -1, t_mask) * identity_sum(t_mask) % Q if t_mask > 1 else 0
+            assert xbar == want

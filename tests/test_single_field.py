@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from mfph.single_field import betti_at, reduce_single_field, save_field_diagram
+from mfph.single_field import reduce_single_field, save_field_diagram
 from mfph.complexes import load_filtration
 from mfph.generators import minimal_projective_plane
 
-from oracles import betti_prefix, boundary_pairs, filled_triangle, random_small_complex
+from oracles import betti_at, betti_prefix, boundary_pairs, filled_triangle, random_small_complex
 
 
 def test_filled_triangle_pairs():

@@ -8,7 +8,6 @@ import pytest
 from mfph.crt import PrimeBasis, mask_primes
 from mfph.generators import minimal_projective_plane
 from mfph.multifield import reduce_multifield
-from mfph.single_field import betti_at
 from mfph.torsion import (
     BettiTable,
     IntegralProfile,
@@ -20,7 +19,7 @@ from mfph.torsion import (
     torsion_report,
 )
 
-from oracles import filled_triangle, klein_grid, random_small_complex
+from oracles import betti_at, filled_triangle, klein_grid, random_small_complex
 
 
 def rp2_profile(primes, reference=None):
