@@ -110,16 +110,18 @@ def run_bench(
     diagram equals the corresponding single-field diagram and raises
     InconsistencyError otherwise; timings of wrong code are never
     reported.  The baseline runs its r reductions sequentially, so the
-    summed time equals the wall time.  Every coboundary column of cx is
-    built first, untimed, so that both timed routes find them built:
-    without it the first timed route alone would pay for the build.
+    summed time equals the wall time.  The CSR coboundary matrix of cx,
+    with its clearing order and apparent pairs, is built first, untimed,
+    so that both timed routes find it built: without it the first timed
+    route alone would pay for the build.  Each timed reduction still
+    lists, as Python lists, the columns its own loop reads.
     """
     if mode not in ("modular", "both"):
         raise ValueError("mode must be 'modular' or 'both'")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     basis = PrimeBasis.of(primes)
-    cx.coboundary_columns()
+    cx.coboundary()
     t_r, (mf, stats) = _median_time(lambda: reduce_multifield(cx, basis), repeats)
     projections = [mf.project(s) for s in range(1, basis.r + 1)]
     p_f = tuple(map(len, projections))

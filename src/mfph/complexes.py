@@ -7,14 +7,21 @@ its rows are m+1-j for its cofacets j.  Pivots are still the largest
 row, and each pivot (row k, column c) is the persistence pair
 (m+1-c, m+1-k).  Validation fills one int32 facet table, kept for the
 life of the complex: row j holds the filtration indices of simplex j's
-facets.  The matrix is its transpose, so the first reduction builds
-every column in one sort and later ones reuse them; boundary_rows
-reads one row, for checks.  Columns are sorted sequences of (row,
-coefficient), with coefficients read modulo the working modulus Q:
-built columns hold the signs +1/-1, and the reducers start from them
-without a copy; column_axpy writes values in [1, Q).  An entry that is
-zero modulo some of the basis primes but not all of them stays in the
-column, which is what lets one column carry every field at once.
+facets.  The matrix is its transpose.  The first reduction sorts the
+table's entries once into compressed sparse columns (Coboundary:
+column pointers, int32 rows, int8 signs), finds the clearing order
+and the apparent pairs on those arrays, and keeps them for later
+reductions; boundary_rows reads one row, for checks.  A column is
+apparent when no earlier column in the clearing order has an entry in
+its largest row (U. Bauer, "Ripser: efficient computation of
+Vietoris-Rips persistence barcodes", JACT 2021): its pivot is +1/-1,
+a unit in every field, so both reducers pair it without a loop.  A
+reducer turns a column into a list of (row, coefficient) only when its
+loop reads it; coefficients are read modulo the working modulus Q,
+listed columns start from the signs +1/-1, and column_axpy writes
+values in [1, Q).  An entry that is zero modulo some of the basis
+primes but not all of them stays in the column, which is what lets
+one column carry every field at once.
 
 `FilteredComplex(items)` and `load_filtration` feed one array ingest:
 it sorts each dimension's vertex rows as int64 arrays, checks ids,
@@ -26,6 +33,7 @@ names its line.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
 
@@ -38,6 +46,7 @@ SparseColumn = list[Entry]
 _VERTEX_MAX = (1 << 63) - 1  # vertex ids are matched as int64 rows of the facet table
 
 __all__ = [
+    "Coboundary",
     "FilteredComplex",
     "Simplex",
     "SparseColumn",
@@ -69,7 +78,7 @@ class FilteredComplex:
     one simplex, and every value is finite.
     """
 
-    __slots__ = ("simplices", "values", "dims", "_facets", "_columns", "_order")
+    __slots__ = ("simplices", "values", "dims", "_facets", "_coboundary")
 
     def __init__(self, items):
         verts, values = tuple(zip(*items)) or ((), ())
@@ -172,7 +181,7 @@ class FilteredComplex:
         dims = dims[origin]
         self.dims: tuple[int, ...] = tuple(dims.tolist())
         self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, dims, origin)
-        self._columns = self._order = None  # built from the table on first use
+        self._coboundary = None  # built from the table on first use
 
     def _facet_table(self, rows_by_dim, index_by_dim, dims, origin) -> np.ndarray:
         """The (m+1) x (top+1) int32 facet table: at [j, p] the filtration
@@ -235,44 +244,82 @@ class FilteredComplex:
         facets = self._facets[j, : d + 1].tolist() if d else ()
         return tuple(sorted((f, -1 if p % 2 else 1) for p, f in enumerate(facets)))
 
-    def coboundary_columns(self) -> list[tuple[tuple[int, int], ...]]:
-        """The anti-transposed coboundary matrix, indexed by column: entry
-        c (1..m) holds simplex m+1-c's rows (m+1-j, sign of m+1-c in the
-        boundary of j) for every cofacet j, sorted by row; entry 0 and the
-        columns of top-dimensional simplices are empty.  Built whole on
-        first use; later calls return the same list."""
-        if self._columns is None:
-            self._build_coboundary()
-        return self._columns
+    def coboundary(self) -> Coboundary:
+        """The anti-transposed coboundary matrix as CSR arrays, with its
+        clearing order and apparent pairs.  Built on first use; later
+        calls return the same object."""
+        if self._coboundary is None:
+            self._coboundary = self._build_coboundary()
+        return self._coboundary
 
-    def coboundary_order(self) -> tuple[int, ...]:
-        """Columns of the anti-transposed coboundary matrix in clearing
-        order: ascending dimension, and ascending column (descending
-        simplex index) within a dimension, so every pivot row a column
-        could clear is known before that column is reached.  Built with
-        the columns; later calls return the same tuple."""
-        if self._columns is None:
-            self._build_coboundary()
-        return self._order
-
-    def _build_coboundary(self) -> None:
-        """One sort of the facet table's entries by (column, row).  Each
-        row's (row, +1) and (row, -1) are one tuple each, shared by every
-        column holding them."""
+    def _build_coboundary(self) -> Coboundary:
+        """One sort of the facet table's entries by (column, row).  Column
+        c holds (m+1-j, sign of m+1-c in the boundary of j) for every
+        cofacet j; entry 0 and the columns of top-dimensional simplices are
+        empty.  Row k's earliest column is that of simplex m+1-k's latest
+        facet, so a column is apparent iff it is the earliest column of its
+        largest row."""
         m1 = len(self.simplices) + 1
         width = 2 * m1  # an entry's code is 2*row + (1 for sign -1)
         j, p = np.nonzero(self._facets)
-        entry: list[tuple[int, int] | None] = [None] * width
-        for r in (m1 - np.flatnonzero(self._facets.any(axis=1))).tolist():
-            entry[2 * r : 2 * r + 2] = (r, 1), (r, -1)
         keys = (m1 - self._facets[j, p].astype(np.int64)) * width + 2 * (m1 - j) + p % 2
         keys.sort()
-        bounds = [0] + np.cumsum(np.bincount(keys // width, minlength=m1)).tolist()
-        entries = tuple(map(entry.__getitem__, (keys % width).tolist()))
-        del j, p, keys, entry
-        self._columns = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+        del j, p
+        indptr = np.zeros(m1 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // width, minlength=m1), out=indptr[1:])
+        code = keys % width
+        rows = (code >> 1).astype(np.int32)
+        signs = (1 - 2 * (code & 1)).astype(np.int8)
+        del keys, code
+        filled = np.flatnonzero(indptr[1:] > indptr[:-1])
+        low = m1 - rows[indptr[filled + 1] - 1].astype(np.int64)  # simplex of the largest row
+        apparent = filled[m1 - self._facets[low].max(axis=1, initial=0) == filled]
         dims = np.array(self.dims[::-1], dtype=np.int64)
-        self._order = tuple((np.argsort(dims, kind="stable") + 1).tolist())
+        order = np.argsort(dims, kind="stable") + 1
+        bounds = np.searchsorted(dims[order - 1], np.arange(self.max_dim + 2))
+        return Coboundary(indptr, rows, signs, order, tuple(bounds.tolist()), apparent)
+
+
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: fields are arrays
+class Coboundary:
+    """The anti-transposed coboundary matrix of a complex with m simplices,
+    in compressed sparse columns: column c (1..m) holds rows[a:b] with
+    coefficients signs[a:b] (+1/-1), a, b = indptr[c], indptr[c+1], in
+    ascending row.  order lists the columns in clearing order: ascending
+    dimension, and ascending column (descending simplex index) within a
+    dimension, so every pivot row a column could clear is known before
+    that column is reached; order[bounds[d]:bounds[d+1]] holds dimension
+    d.  apparent lists, ascending, the columns that no earlier column in
+    that order meets in their largest row (Bauer, "Ripser", 2021): such a
+    column is reduced as it stands, its pivot +1/-1 is a unit in every
+    field, and it can never be cleared.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    signs: np.ndarray
+    order: np.ndarray
+    bounds: tuple[int, ...]
+    apparent: np.ndarray
+
+    def column(self, c: int) -> SparseColumn:
+        """Column c as a list of (row, sign)."""
+        a, b = self.indptr[c : c + 2].tolist()
+        return list(zip(self.rows[a:b].tolist(), self.signs[a:b].tolist()))
+
+    def apparent_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, pivot rows, pivot signs) of the apparent columns."""
+        last = self.indptr[self.apparent + 1] - 1
+        return self.apparent, self.rows[last].astype(np.int64), self.signs[last]
+
+    def pending(self, skip: np.ndarray):
+        """Yield the nonempty columns in clearing order that are not
+        marked in the boolean array skip (indexed by column).  Each
+        dimension's columns are chosen when the dimension is reached, so
+        marks made while the dimension below ran are seen."""
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            cols = self.order[lo:hi]
+            yield from cols[(self.indptr[cols + 1] > self.indptr[cols]) & ~skip[cols]].tolist()
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -6,21 +6,28 @@ simultaneously.  The matrix is the anti-transposed coboundary matrix
 (persistent cohomology), reduced in ascending dimension with clearing:
 it pairs the same simplices as the boundary matrix (de Silva, Morozov
 and Vejdemo-Johansson, 2011) and skips almost every column that would
-need work.  Because a coefficient can be zero in some fields and
-invertible in others, a column can have several pivot rows, one per
-group of fields; each produces a triple (birth, death, mask) where the
-mask is the product of the primes whose fields share that pair.  The
-collection of triples, plus essentials grouped the same way, is the
-multi-field diagram: P_r entries instead of sum_s P_F(s), with every
-pair shared by all fields stored once.  It holds pairs, not
-representative cycles.
+need work.  An apparent column (Bauer, "Ripser", 2021; see
+mfph.complexes) has a +1/-1 pivot, a unit in every field, so its
+triple has mask Q and is registered before the loop; the loop visits
+only the columns that are neither empty, apparent nor cleared, and the
+diagram is assembled from arrays.  Because a coefficient can be zero in
+some fields and invertible in others, a column can have several pivot
+rows, one per group of fields; each produces a triple (birth, death,
+mask) where the mask is the product of the primes whose fields share
+that pair.  The collection of triples, plus essentials grouped the
+same way, is the multi-field diagram: P_r entries instead of
+sum_s P_F(s), with every pair shared by all fields stored once.  It
+holds pairs, not representative cycles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+
+import numpy as np
 
 from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
 from .crt import InconsistencyError, PrimeBasis, mask_primes, partial_inverse
@@ -40,6 +47,7 @@ class ReduceStats:
     axpy_count: int
     partial_inverse_count: int
     cache_hits: int
+    apparent_pairs: int  # columns settled as apparent pairs, without the loop
 
 
 @dataclass(frozen=True)
@@ -90,40 +98,55 @@ def reduce_multifield(
     """Reduce the coboundary matrix over Z/QZ for all basis fields at once.
 
     Columns are those of the anti-transposed coboundary matrix (see
-    mfph.complexes), run in ascending dimension.  Per column j the
-    working mask Q_S starts at Q and loses the fields of every pivot the
-    column settles on.  At each pivot row k the candidate mask Q_T
-    collects the fields of Q_S where col_j[k] is nonzero; previously
-    reduced columns registered at row k cancel their share of Q_T via
-    partial inverses, and whatever survives is recorded as the triple
-    (m+1-j, m+1-k, Q_T).  The column is done once Q_S is 1 or no entry
-    is nonzero modulo Q_S.  The search for the next pivot row continues
-    below a pivot settled without an axpy, and starts again from the
-    column's end after an axpy, so a pivot the axpys failed to cancel
-    is found again and raises.  Columns run in cx.coboundary_order(),
-    and a column is skipped (cleared) once its index is a pivot row in
-    every field.
+    mfph.complexes), run in ascending dimension.  Every apparent column
+    is a pivot of mask Q as it stands, so its triple is registered up
+    front with its own sign as pivot coefficient, and its pivot row is
+    cleared.  The loop visits only the other nonempty columns that are
+    not cleared.  Per column j the working mask Q_S starts at Q and
+    loses the fields of every pivot the column settles on.  At each
+    pivot row k the candidate mask Q_T collects the fields of Q_S where
+    col_j[k] is nonzero; previously reduced columns registered at row k
+    cancel their share of Q_T via partial inverses, and whatever
+    survives is recorded as the triple (m+1-j, m+1-k, Q_T).  The column
+    is done once Q_S is 1 or no entry is nonzero modulo Q_S.  The search
+    for the next pivot row continues below a pivot settled without an
+    axpy, and starts again from the column's end after an axpy, so a
+    pivot the axpys failed to cancel is found again and raises.  Columns
+    run in clearing order, and a column is skipped (cleared) once its
+    index is a pivot row in every field.
 
-    Raises InconsistencyError if an invariant of the reduction fails.
+    Raises InconsistencyError if an invariant of the reduction fails: a
+    column is reduced by one that comes later in the clearing order, a
+    column's pivot neither rises nor loses fields, or an index is paired
+    twice in one field.
     """
     q_all = basis.product
     m = len(cx)
-    columns = cx.coboundary_columns()
+    cb = cx.coboundary()
+    app_cols, app_rows, app_signs = cb.apparent_pairs()
 
+    # row -> ((column, mask, pivot coefficient), ...), masks pairwise
+    # coprime; an apparent pivot row starts with its column's one entry
+    entries = zip(app_cols.tolist(), repeat(q_all), app_signs.tolist())
+    registry: dict[int, tuple[tuple[int, int, int], ...]]
+    registry = dict(zip(app_rows.tolist(), zip(entries)))
     reduced: dict[int, SparseColumn] = {}
-    # row -> [(column, mask, pivot coefficient)], masks pairwise coprime
-    registry: dict[int, list[tuple[int, int, int]]] = {}
-    row_mask = [1] * (m + 1)
-    col_mask = [1] * (m + 1)
+    # masks of the indices the loop pairs; apparent pairs hold Q
+    row_mask: dict[int, int] = {}
+    col_mask: dict[int, int] = {}
+    # the pivots (column, row, mask) the loop settles
+    loop_cols: list[int] = []
+    loop_rows: list[int] = []
+    loop_masks: list[int] = []
+    skip = np.zeros(m + 1, dtype=bool)
+    skip[app_cols] = skip[app_rows] = True
     inv_cache: dict[tuple[int, int], int] = {}
     axpy_count = 0
     pinv_count = 0
     cache_hits = 0
 
-    for j in cx.coboundary_order():
-        if row_mask[j] == q_all:
-            continue
-        col = columns[j]
+    for j in cb.pending(skip):
+        col = cb.column(j)
         mask_s = q_all
         prev = (q_all + 1, m + 1)
         # the pivot row on mask_s is the last entry nonzero mod mask_s
@@ -152,6 +175,10 @@ def reduce_multifield(
                 if hit is None:
                     break
                 j2, mask2, c2 = hit
+                if j2 >= j:
+                    raise InconsistencyError(
+                        f"column {j} meets column {j2}, later in the clearing order, at row {k}"
+                    )
                 mask_t //= gcd(mask2, mask_t)
                 key = (c2, mask2)
                 xbar = inv_cache.get(key)
@@ -167,35 +194,63 @@ def reduce_multifield(
                     cache_hits += 1
                 if changed:
                     ck = _coeff_at(col, k)
+                source = reduced.get(j2)
+                if source is None:  # an apparent column, listed once
+                    source = reduced[j2] = cb.column(j2)
                 alpha = -ck * xbar % q_all
-                col = column_axpy(col, alpha, reduced[j2], q_all)
+                col = column_axpy(col, alpha, source, q_all)
                 axpy_count += 1
                 changed = True
             if mask_t != 1:
                 if changed:
                     ck = _coeff_at(col, k)
-                registry.setdefault(k, []).append((j, mask_t, ck))
-                row_mask[k] *= mask_t
-                col_mask[j] *= mask_t
+                registry[k] = registry.get(k, ()) + ((j, mask_t, ck),)
+                loop_cols.append(j)
+                loop_rows.append(k)
+                loop_masks.append(mask_t)
+                row_mask[k] = row_mask.get(k, 1) * mask_t
+                if row_mask[k] == q_all:
+                    skip[k] = True  # column k is cleared
+                col_mask[j] = col_mask.get(j, 1) * mask_t
                 mask_s //= mask_t
             if changed:
                 pos = len(col)
         if col:
             reduced[j] = col
 
-    essentials = []
-    for i in range(1, m + 1):
-        covered = row_mask[i] * col_mask[i]
-        if q_all % covered:
+    # an apparent pair covers its two indices in every field, a pair of
+    # the loop its own on its mask; an index is essential where no pair
+    # covers it, and raises if two pairs cover it in one field
+    m1 = m + 1
+    in_apparent = np.bincount(np.concatenate((app_cols, app_rows)), minlength=m1)
+    twice = np.flatnonzero(in_apparent > 1)
+    if twice.size:
+        raise InconsistencyError(f"index {int(twice[0])} is paired twice in one field")
+    free = in_apparent == 0
+    free[0] = False
+    ess_idx: list[int] = []
+    ess_masks: list[int] = []
+    for i in sorted(row_mask.keys() | col_mask.keys()):
+        cover = row_mask.get(i, 1) * col_mask.get(i, 1) * (q_all if in_apparent[i] else 1)
+        if q_all % cover:
             raise InconsistencyError(f"index {i} is paired twice in one field")
-        if covered < q_all:
-            essentials.append((i, q_all // covered))
+        if cover < q_all:
+            ess_idx.append(i)
+            ess_masks.append(q_all // cover)
+        free[i] = False
 
     # a pivot (row k, column j) of the anti-transposed coboundary matrix
     # pairs birth m+1-j with death m+1-k; a column registers at a row once
-    triples = [(m + 1 - j, m + 1 - k, mask) for k, row in registry.items() for j, mask, _ in row]
-    triples.sort(key=lambda tr: (tr[0], tr[1]))
-    essentials = [(m + 1 - i, mask) for i, mask in reversed(essentials)]
+    births = m1 - np.concatenate((app_cols, np.array(loop_cols, dtype=np.int64)))
+    deaths = m1 - np.concatenate((app_rows, np.array(loop_rows, dtype=np.int64)))
+    masks = [q_all] * len(app_cols) + loop_masks
+    at = np.lexsort((deaths, births)).tolist()
+    triples = zip(births[at].tolist(), deaths[at].tolist(), map(masks.__getitem__, at))
+    free = np.flatnonzero(free)
+    births = m1 - np.concatenate((free, np.array(ess_idx, dtype=np.int64)))
+    masks = [q_all] * len(free) + ess_masks
+    at = np.argsort(births).tolist()
+    essentials = zip(births[at].tolist(), map(masks.__getitem__, at))
     diagram = MultiFieldDiagram(
         basis=basis,
         triples=tuple(triples),
@@ -207,20 +262,24 @@ def reduce_multifield(
         axpy_count=axpy_count,
         partial_inverse_count=pinv_count,
         cache_hits=cache_hits,
+        apparent_pairs=len(app_cols),
     )
     return diagram, stats
 
 
 def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:
-    """Write `dim birth death birth_value death_value primes=...` lines."""
+    """Write `dim birth death birth_value death_value primes=...` lines;
+    each distinct mask's primes are named once."""
     rows: list[tuple[int, int, int | None, int]] = [
         (mf.index_dims[i - 1], i, j, mask) for i, j, mask in mf.triples
     ]
     rows.extend((mf.index_dims[i - 1], i, None, mask) for i, mask in mf.essentials)
     rows.sort(key=lambda e: (e[0], e[1], e[2] if e[2] is not None else 1 << 62))
+    masks = {e[3] for e in rows}
+    names = {mask: ",".join(map(str, mask_primes(mf.basis, mask))) for mask in masks}
     with open(path, "w", encoding="utf-8") as fh:
         for dim, birth, death, mask in rows:
-            primes = ",".join(str(q) for q in mask_primes(mf.basis, mask))
+            primes = names[mask]
             bval = format_value(mf.index_values[birth - 1])
             if death is None:
                 fh.write(f"{dim} {birth} inf {bval} inf primes={primes}\n")

@@ -96,6 +96,26 @@ def boundary_pairs(cx, q):
     return frozenset(pairs)
 
 
+def apparent_columns(cx):
+    """The apparent columns of the anti-transposed coboundary matrix,
+    ascending: those that no earlier column in the clearing order
+    (ascending dimension, then ascending column) has an entry in their
+    largest row.  Columns come from boundary_facets: column m+1-f holds
+    row m+1-j for every facet f of simplex j."""
+    m1 = len(cx) + 1
+    rows = [set() for _ in range(m1)]
+    for j, facets in enumerate(boundary_facets(cx)):
+        for f, _ in facets:
+            rows[m1 - f].add(m1 - j)
+    seen = set()
+    apparent = []
+    for c in sorted(range(1, m1), key=lambda c: (cx.dim(m1 - c), c)):
+        if rows[c] and max(rows[c]) not in seen:
+            apparent.append(c)
+        seen |= rows[c]
+    return sorted(apparent)
+
+
 def reference_flag_complex(n, edges, max_dim):
     """Flag complex up to max_dim of the graph on vertices 0..n-1 whose
     edges are given as {(u, w): value} with u < w, by recursive clique

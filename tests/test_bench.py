@@ -58,17 +58,17 @@ def test_run_bench_both_mode():
 
 
 def test_run_bench_times_warm_columns(monkeypatch):
-    # the untimed warm-up builds the whole coboundary matrix without a
-    # reduction; every timed route finds that same list and builds nothing
+    # the untimed warm-up builds the whole CSR coboundary matrix without a
+    # reduction; every timed route finds that same object and builds nothing
     seen = []
 
     def spy(name):
         original = getattr(mfph.bench, name)
 
         def timed(cx, *args):
-            before = cx._columns
+            before = cx._coboundary
             result = original(cx, *args)
-            seen.append((name, before, cx._columns))
+            seen.append((name, before, cx._coboundary))
             return result
 
         monkeypatch.setattr(mfph.bench, name, timed)
@@ -78,13 +78,13 @@ def test_run_bench_times_warm_columns(monkeypatch):
     cx = minimal_projective_plane()
     run_bench(cx, [2, 3], mode="both", repeats=1)
     assert [name for name, _, _ in seen] == ["reduce_multifield"] + ["reduce_single_field"] * 2
-    built = cx.coboundary_columns()
+    built = cx.coboundary()
     assert built is not None
     assert all(before is built and after is built for _, before, after in seen)
     # columns 1..31 plus the unused entry 0; the 10 triangles are
     # top-dimensional and their columns empty
-    assert len(built) == 32
-    assert sum(1 for col in built if col) == 21
+    assert len(built.indptr) == 32 + 1
+    assert sum(1 for c in range(32) if built.column(c)) == 21
 
 
 def test_run_bench_modular_mode():

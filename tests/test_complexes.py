@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from mfph.complexes import (
@@ -14,7 +15,13 @@ from mfph.complexes import (
 from mfph.crt import PrimeBasis, crt_project
 from mfph.generators import minimal_projective_plane, rips_filtration, sample_shape
 
-from oracles import boundary_facets, filled_triangle, klein_grid, random_small_complex
+from oracles import (
+    apparent_columns,
+    boundary_facets,
+    filled_triangle,
+    klein_grid,
+    random_small_complex,
+)
 
 
 def test_ordering_and_indexing():
@@ -160,8 +167,10 @@ def _assert_same_complex(a, b):
     assert a.simplices == b.simplices
     assert list(map(repr, a.values)) == list(map(repr, b.values))  # the sign of -0.0 too
     assert a.dims == b.dims
-    assert a.coboundary_columns() == b.coboundary_columns()
-    assert a.coboundary_order() == b.coboundary_order()
+    ca, cb = a.coboundary(), b.coboundary()
+    for name in ("indptr", "rows", "signs", "order", "apparent"):
+        assert getattr(ca, name).tolist() == getattr(cb, name).tolist()
+    assert ca.bounds == cb.bounds
 
 
 def _assert_matches_reference(cx, items):
@@ -241,19 +250,26 @@ def _assert_coboundary_is_transposed_boundary(cx):
         assert cx.boundary_rows(j) == tuple(sorted(facets[j]))
         for row, sign in facets[j]:
             want[m1 - row].append((m1 - j, sign))
-    columns = cx.coboundary_columns()
-    assert len(columns) == m1
+    cb = cx.coboundary()
+    assert (cb.indptr.dtype, cb.rows.dtype, cb.signs.dtype) == (np.int64, np.int32, np.int8)
+    assert len(cb.indptr) == m1 + 1 and cb.indptr[0] == 0 and cb.indptr[-1] == len(cb.rows)
     for c in range(m1):
-        assert columns[c] == tuple(sorted(want[c]))
+        assert cb.column(c) == sorted(want[c])
     # ascending dimension, ascending column (descending simplex) within one
-    assert cx.coboundary_order() == tuple(sorted(range(1, m1), key=lambda c: (cx.dim(m1 - c), c)))
-    assert cx.coboundary_columns() is columns
+    order = sorted(range(1, m1), key=lambda c: (cx.dim(m1 - c), c))
+    assert cb.order.tolist() == order
+    assert len(cb.bounds) == cx.max_dim + 2
+    for d in range(cx.max_dim + 1):
+        in_dim = [c for c in order if cx.dim(m1 - c) == d]
+        assert cb.order[cb.bounds[d] : cb.bounds[d + 1]].tolist() == in_dim
+    assert cx.coboundary() is cb
 
 
 def test_coboundary_columns_transpose_boundary_rows():
     _assert_coboundary_is_transposed_boundary(minimal_projective_plane())
     _assert_coboundary_is_transposed_boundary(klein_grid())
     _assert_coboundary_is_transposed_boundary(FilteredComplex([((7,), 0.0)]))
+    _assert_coboundary_is_transposed_boundary(FilteredComplex([]))
     rng = random.Random(19)
     for i in range(40):
         cx = random_small_complex(rng)
@@ -266,6 +282,21 @@ def test_coboundary_columns_transpose_boundary_rows():
                 (tuple(ids[v] for v in s), f) for s, f in zip(cx.simplices, cx.values)
             )
             _assert_coboundary_is_transposed_boundary(sparse)
+
+
+def test_apparent_columns_match_the_oracle():
+    rng = random.Random(37)
+    complexes = [minimal_projective_plane(), klein_grid()]
+    complexes += [random_small_complex(rng) for _ in range(40)]
+    found = missed = 0
+    for cx in complexes:
+        cb = cx.coboundary()
+        want = apparent_columns(cx)
+        assert cb.apparent.tolist() == want
+        found += len(want)
+        missed += sum(1 for c in range(1, len(cx) + 1) if cb.column(c)) - len(want)
+    # both kinds occur, so neither answer passes by default
+    assert found > 0 and missed > 0
 
 
 def test_column_axpy_matches_dict_model():

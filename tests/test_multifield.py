@@ -1,11 +1,14 @@
 """Multi-field reduction: oracle equivalence, masks, accounting."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import mfph.multifield
-from mfph.crt import InconsistencyError, PrimeBasis
+from mfph.complexes import FilteredComplex, format_value
+from mfph.crt import InconsistencyError, PrimeBasis, mask_primes
 from mfph.multifield import reduce_multifield, save_multifield_diagram
 from mfph.single_field import reduce_single_field
 from mfph.generators import minimal_projective_plane
@@ -17,6 +20,7 @@ from oracles import (
     boundary_pairs,
     coned_projective_plane,
     filled_triangle,
+    klein_grid,
     random_small_complex,
 )
 from test_acceptance import CORPUS_PRIMES, _small_flag, _small_ym
@@ -139,6 +143,40 @@ def test_save_multifield_diagram_format(tmp_path):
     assert len(fields) == 6  # dim birth death bval dval primes=...
 
 
+def _reference_save(mf, path):
+    """The writer as it was: mask_primes called once per row."""
+    rows = [(mf.index_dims[i - 1], i, j, mask) for i, j, mask in mf.triples]
+    rows.extend((mf.index_dims[i - 1], i, None, mask) for i, mask in mf.essentials)
+    rows.sort(key=lambda e: (e[0], e[1], e[2] if e[2] is not None else 1 << 62))
+    with open(path, "w", encoding="utf-8") as fh:
+        for dim, birth, death, mask in rows:
+            primes = ",".join(str(q) for q in mask_primes(mf.basis, mask))
+            bval = format_value(mf.index_values[birth - 1])
+            if death is None:
+                fh.write(f"{dim} {birth} inf {bval} inf primes={primes}\n")
+            else:
+                dval = format_value(mf.index_values[death - 1])
+                fh.write(f"{dim} {birth} {death} {bval} {dval} primes={primes}\n")
+
+
+def test_save_multifield_diagram_matches_per_row_writer(tmp_path):
+    # r = 100, with partial masks (RP^2 coned off, Y(n, m) with torsion)
+    # and full ones; the writer names each distinct mask once
+    basis = PrimeBasis.first(100)
+    rng = random.Random(2026)
+    complexes = [coned_projective_plane(), minimal_projective_plane(), filled_triangle()]
+    complexes += [_small_ym(rng) for _ in range(6)]
+    partial = 0
+    for i, cx in enumerate(complexes):
+        mf, _ = reduce_multifield(cx, basis)
+        partial += any(mask != basis.product for *_, mask in mf.triples + mf.essentials)
+        got, want = tmp_path / f"{i}.mdgm", tmp_path / f"{i}.ref"
+        save_multifield_diagram(mf, got)
+        _reference_save(mf, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert partial >= 2
+
+
 def test_homology_and_cohomology_agree_on_corpus():
     # the oracle reduces the boundary matrix, built from cx.simplices, and
     # not the coboundary columns that both library reducers read
@@ -173,13 +211,16 @@ def test_op_counts_on_acceptance_corpus_are_pinned():
     rng = random.Random(2026)
     basis = PrimeBasis.of(CORPUS_PRIMES)
     totals = [0, 0, 0]
+    apparent = 0
     for i in range(100):
         cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
         _, stats = reduce_multifield(cx, basis)
         totals[0] += stats.axpy_count
         totals[1] += stats.partial_inverse_count
         totals[2] += stats.cache_hits
+        apparent += stats.apparent_pairs
     assert totals == [1077, 183, 894]
+    assert apparent == 1146
 
 
 def test_large_prime_matches_projection():
@@ -218,6 +259,64 @@ def test_wrong_partial_inverse_raises(monkeypatch):
     monkeypatch.setattr(mfph.multifield, "partial_inverse", wrong_mask)
     with pytest.raises(InconsistencyError):
         reduce_multifield(filled_triangle(), PrimeBasis.of([2, 3]))
+
+
+def test_complexes_without_columns_reduce():
+    # no simplex, or no edge: nothing is apparent and every index is essential
+    basis = PrimeBasis.of([2, 3])
+    for items, births in (([], ()), ([((7,), 0.0), ((1,), 1.0)], (1, 2))):
+        cx = FilteredComplex(items)
+        mf, stats = reduce_multifield(cx, basis)
+        assert (mf.triples, mf.essentials) == ((), tuple((i, 6) for i in births))
+        assert stats.apparent_pairs == 0
+        diagram, ops = reduce_single_field(cx, 3)
+        assert (diagram.pairs, ops) == (tuple((i, None) for i in births), 0)
+
+
+def test_false_apparent_column_raises_in_both_reducers():
+    # mark one column apparent that is not: both reducers then register a
+    # pivot at its largest row up front.  Where the diagram has no such
+    # pair, that must raise; where it has, the diagram must not change.
+    basis = PrimeBasis.of([2, 3])
+    rng = random.Random(41)
+    complexes = [minimal_projective_plane(), coned_projective_plane(), klein_grid()]
+    complexes += [random_small_complex(rng) for _ in range(10)]
+    faults = []  # per raise: (reducer, whether it named a later column)
+    kept = 0
+
+    def fault(reducer, call):
+        with pytest.raises(InconsistencyError) as err:
+            call()
+        faults.append((reducer, "later in the clearing order" in str(err.value)))
+
+    for cx in complexes:
+        m1 = len(cx) + 1
+        cb = cx.coboundary()
+        want, _ = reduce_multifield(cx, basis)
+        truth = {q: boundary_pairs(cx, q) for q in basis.primes}
+        for c in range(1, m1):
+            col = cb.column(c)
+            if not col or c in cb.apparent:
+                continue
+            pair = (m1 - c, m1 - col[-1][0])
+            cx._coboundary = dataclasses.replace(cb, apparent=np.sort(np.append(cb.apparent, c)))
+            try:
+                if all(pair in truth[q] for q in basis.primes):
+                    got, _ = reduce_multifield(cx, basis)
+                    assert (got.triples, got.essentials) == (want.triples, want.essentials)
+                    kept += 1
+                else:
+                    fault("multi", lambda: reduce_multifield(cx, basis))
+                for q in basis.primes:
+                    if pair in truth[q]:
+                        assert reduce_single_field(cx, q)[0].pair_set() == truth[q]
+                    else:
+                        fault("single", lambda: reduce_single_field(cx, q))
+            finally:
+                cx._coboundary = cb
+    # each reducer raised for a later owner and for an index paired twice
+    assert set(faults) == {(r, later) for r in ("multi", "single") for later in (True, False)}
+    assert kept > 0
 
 
 def test_axpy_that_cancels_nothing_raises(monkeypatch):
