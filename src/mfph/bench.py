@@ -114,7 +114,8 @@ def run_bench(
     with its clearing order and apparent pairs, is built first, untimed,
     so that both timed routes find it built: without it the first timed
     route alone would pay for the build.  Each timed reduction still
-    lists, as Python lists, the columns its own loop reads.
+    lists, as Python dicts from row to coefficient, the columns its own
+    loop reads, and reduces them in place.
     """
     if mode not in ("modular", "both"):
         raise ValueError("mode must be 'modular' or 'both'")

@@ -91,7 +91,7 @@ def _parse_prime_list(text: str) -> tuple[int, ...]:
 
 
 def _resolve_primes(args) -> tuple[int, ...]:
-    if getattr(args, "primes", None):
+    if getattr(args, "primes", None) is not None:
         return _parse_prime_list(args.primes)
     r = getattr(args, "r", None)
     if r is not None:
@@ -214,9 +214,9 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_bench(args) -> int:
     cx = load_filtration(args.input)
-    if args.primes:
+    if args.primes is not None:
         bases = [_parse_prime_list(args.primes)]
-    elif args.r:
+    elif args.r is not None:
         rs = [int(tok) for tok in str(args.r).split(",") if tok.strip()]
         if not rs or any(r < 1 for r in rs):
             raise ValueError(f"bad r sweep {args.r!r}")

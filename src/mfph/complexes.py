@@ -16,12 +16,17 @@ apparent when no earlier column in the clearing order has an entry in
 its largest row (U. Bauer, "Ripser: efficient computation of
 Vietoris-Rips persistence barcodes", JACT 2021): its pivot is +1/-1,
 a unit in every field, so both reducers pair it without a loop.  A
-reducer turns a column into a list of (row, coefficient) only when its
-loop reads it; coefficients are read modulo the working modulus Q,
-listed columns start from the signs +1/-1, and column_axpy writes
-values in [1, Q).  An entry that is zero modulo some of the basis
-primes but not all of them stays in the column, which is what lets
-one column carry every field at once.
+reducer turns a column into a dict from row to coefficient only when
+its loop reads it, and reduces that working column in place, like the
+pivot columns of PHAT (U. Bauer, M. Kerber, J. Reininghaus and H.
+Wagner, "PHAT - Persistent Homology Algorithms Toolbox", JSC 2017):
+column_axpy adds a multiple of a source column into it by looping over
+the source alone, so an axpy costs the source's length and copies
+nothing.  Coefficients are read modulo the working modulus Q, listed
+columns start from the signs +1/-1, and column_axpy writes values in
+[1, Q).  An entry that is zero modulo some of the basis primes but not
+all of them stays in the column, which is what lets one column carry
+every field at once.
 
 `FilteredComplex(items)` and `load_filtration` feed one array ingest:
 it sorts each dimension's vertex rows as int64 arrays, checks ids,
@@ -40,8 +45,7 @@ from math import isfinite
 import numpy as np
 
 Simplex = tuple[int, ...]
-Entry = tuple[int, int]
-SparseColumn = list[Entry]
+SparseColumn = dict[int, int]  # row -> coefficient
 
 _VERTEX_MAX = (1 << 63) - 1  # vertex ids are matched as int64 rows of the facet table
 
@@ -303,9 +307,9 @@ class Coboundary:
     apparent: np.ndarray
 
     def column(self, c: int) -> SparseColumn:
-        """Column c as a list of (row, sign)."""
+        """Column c as a dict from row to sign."""
         a, b = self.indptr[c : c + 2].tolist()
-        return list(zip(self.rows[a:b].tolist(), self.signs[a:b].tolist()))
+        return dict(zip(self.rows[a:b].tolist(), self.signs[a:b].tolist()))
 
     def apparent_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(columns, pivot rows, pivot signs) of the apparent columns."""
@@ -330,41 +334,20 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def column_axpy(target: SparseColumn, alpha: int, source: SparseColumn, q_all: int) -> SparseColumn:
-    """target + alpha*source over Z/QZ; entries equal to 0 mod Q are dropped."""
+    """Add alpha*source into target over Z/QZ in place and return target.
+
+    Only the source is looped over, and it is left unchanged; an entry
+    that becomes 0 mod Q is deleted from target."""
     alpha %= q_all
-    if alpha == 0 or not source:
-        return target
-    out: SparseColumn = []
-    push = out.append
-    i = j = 0
-    n, m = len(target), len(source)
-    while i < n and j < m:
-        ti = target[i]
-        sj = source[j]
-        ri, rj = ti[0], sj[0]
-        if ri < rj:
-            push(ti)
-            i += 1
-        elif ri > rj:
-            c = alpha * sj[1] % q_all
+    if alpha:
+        get = target.get
+        for row, c in source.items():
+            c = (get(row, 0) + alpha * c) % q_all
             if c:
-                push((rj, c))
-            j += 1
-        else:
-            c = (ti[1] + alpha * sj[1]) % q_all
-            if c:
-                push((ri, c))
-            i += 1
-            j += 1
-    if i < n:
-        out.extend(target[i:])
-    while j < m:
-        sj = source[j]
-        c = alpha * sj[1] % q_all
-        if c:
-            push((sj[0], c))
-        j += 1
-    return out
+                target[row] = c
+            else:
+                target.pop(row, None)
+    return target
 
 
 def data_lines(path):

@@ -22,7 +22,6 @@ holds pairs, not representative cycles.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -85,13 +84,6 @@ class MultiFieldDiagram:
         return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims)
 
 
-def _coeff_at(col: SparseColumn, row: int) -> int:
-    pos = bisect_left(col, (row,))
-    if pos < len(col) and col[pos][0] == row:
-        return col[pos][1]
-    return 0
-
-
 def reduce_multifield(
     cx: FilteredComplex, basis: PrimeBasis
 ) -> tuple[MultiFieldDiagram, ReduceStats]:
@@ -108,10 +100,13 @@ def reduce_multifield(
     col_j[k] is nonzero; previously reduced columns registered at row k
     cancel their share of Q_T via partial inverses, and whatever
     survives is recorded as the triple (m+1-j, m+1-k, Q_T).  The column
-    is done once Q_S is 1 or no entry is nonzero modulo Q_S.  The search
-    for the next pivot row continues below a pivot settled without an
-    axpy, and starts again from the column's end after an axpy, so a
-    pivot the axpys failed to cancel is found again and raises.  Columns
+    is done once Q_S is 1 or no entry is nonzero modulo Q_S.  Column j
+    is a dict from row to coefficient that each axpy adds into in place
+    (see mfph.complexes), and the pivot row on Q_S is its largest row
+    nonzero modulo Q_S, searched for in its rows sorted descending.  The
+    search continues below a pivot settled without an axpy, and starts
+    again from the largest row, sorted afresh, after an axpy, so a pivot
+    the axpys failed to cancel is found again and raises.  Columns
     run in clearing order, and a column is skipped (cleared) once its
     index is a pivot row in every field.
 
@@ -149,15 +144,15 @@ def reduce_multifield(
         col = cb.column(j)
         mask_s = q_all
         prev = (q_all + 1, m + 1)
-        # the pivot row on mask_s is the last entry nonzero mod mask_s
-        pos = len(col)
+        # the pivot row on mask_s is the largest row nonzero mod mask_s
+        rows = iter(sorted(col, reverse=True))
         while mask_s > 1:
-            pos -= 1
-            while pos >= 0 and not col[pos][1] % mask_s:
-                pos -= 1
-            if pos < 0:
-                break
-            k, ck = col[pos]
+            for k in rows:
+                if col[k] % mask_s:
+                    break
+            else:
+                break  # no entry is nonzero mod mask_s
+            ck = col[k]
             if not (mask_s < prev[0] or k < prev[1]):
                 raise InconsistencyError(
                     f"column {j} neither shrank its mask nor lowered its pivot {k}"
@@ -193,7 +188,7 @@ def reduce_multifield(
                 else:
                     cache_hits += 1
                 if changed:
-                    ck = _coeff_at(col, k)
+                    ck = col.get(k, 0)
                 source = reduced.get(j2)
                 if source is None:  # an apparent column, listed once
                     source = reduced[j2] = cb.column(j2)
@@ -203,7 +198,7 @@ def reduce_multifield(
                 changed = True
             if mask_t != 1:
                 if changed:
-                    ck = _coeff_at(col, k)
+                    ck = col.get(k, 0)
                 registry[k] = registry.get(k, ()) + ((j, mask_t, ck),)
                 loop_cols.append(j)
                 loop_rows.append(k)
@@ -214,7 +209,7 @@ def reduce_multifield(
                 col_mask[j] = col_mask.get(j, 1) * mask_t
                 mask_s //= mask_t
             if changed:
-                pos = len(col)
+                rows = iter(sorted(col, reverse=True))
         if col:
             reduced[j] = col
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, column_axpy, format_value
+from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
 from .crt import InconsistencyError, is_prime
 
 __all__ = [
@@ -65,7 +65,7 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
     cb = cx.coboundary()
     app_cols, app_rows, _ = cb.apparent_pairs()
     pivot_owner = dict(zip(app_rows.tolist(), app_cols.tolist()))
-    reduced: dict[int, list[tuple[int, int]]] = {}
+    reduced: dict[int, SparseColumn] = {}
     loop_cols: list[int] = []
     loop_rows: list[int] = []
     skip = np.zeros(m1, dtype=bool)
@@ -75,9 +75,14 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
     for j in cb.pending(skip):
         col = cb.column(j)
         while col:
-            k, c = col[-1]
+            k = max(col)  # the pivot row
             owner = pivot_owner.get(k)
             if owner is None:
+                pivot_owner[k] = j
+                skip[k] = True  # column k is cleared
+                reduced[j] = col
+                loop_cols.append(j)
+                loop_rows.append(k)
                 break
             if owner >= j:
                 raise InconsistencyError(
@@ -86,16 +91,10 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
             own_col = reduced.get(owner)
             if own_col is None:  # an apparent column, listed once
                 own_col = reduced[owner] = cb.column(owner)
-            alpha = -c * pow(own_col[-1][1], -1, q) % q
+            # the owner's pivot row is k too
+            alpha = -col[k] * pow(own_col[k], -1, q) % q
             col = column_axpy(col, alpha, own_col, q)
             ops += 1
-        if col:
-            k = col[-1][0]
-            pivot_owner[k] = j
-            skip[k] = True  # column k is cleared
-            reduced[j] = col
-            loop_cols.append(j)
-            loop_rows.append(k)
 
     # pivot (row k, column j) pairs birth m1-j with death m1-k
     births = m1 - np.concatenate((app_cols, np.array(loop_cols, dtype=np.int64)))

@@ -459,6 +459,11 @@ MALFORMED = [
     ("byte.dist", b"1\n1 \xff\n", ["rips", "--distances"], ["--rho", "2"], "byte.dist:2: bad distance"),
     # the first line whose width differs from the first line's
     ("width.pts", "0 0\n1 0\n0 1 2\n1 1\n", ["rips", "--points"], ["--rho", "2"], "width.pts:3"),
+    # an empty prime list or r sweep is an error, not the default primes
+    ("noprimes-reduce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", ""], "empty prime list"),
+    ("noprimes-torsion.flt", "0 0 0\n", ["torsion", "--input"], ["--primes", ""], "empty prime list"),
+    ("noprimes-bench.flt", "0 0 0\n", ["bench", "--input"], ["--primes", ""], "empty prime list"),
+    ("nor-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", ""], "bad r sweep ''"),
 ]
 
 

@@ -298,7 +298,7 @@ def test_false_apparent_column_raises_in_both_reducers():
             col = cb.column(c)
             if not col or c in cb.apparent:
                 continue
-            pair = (m1 - c, m1 - col[-1][0])
+            pair = (m1 - c, m1 - max(col))
             cx._coboundary = dataclasses.replace(cb, apparent=np.sort(np.append(cb.apparent, c)))
             try:
                 if all(pair in truth[q] for q in basis.primes):

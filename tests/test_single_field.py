@@ -6,9 +6,10 @@ import pytest
 
 from mfph.single_field import reduce_single_field, save_field_diagram
 from mfph.complexes import load_filtration
-from mfph.generators import minimal_projective_plane
+from mfph.generators import linial_meshulam, minimal_projective_plane
 
 from oracles import betti_at, betti_prefix, boundary_pairs, filled_triangle, random_small_complex
+from test_acceptance import CORPUS_PRIMES, _small_flag, _small_ym
 
 
 def test_filled_triangle_pairs():
@@ -92,6 +93,24 @@ def test_op_count_counts_axpys_only():
     diagram, ops = reduce_single_field(cx, 2)
     assert ops == 1
     assert diagram.pairs == ((1, None), (2, 3))
+
+
+def test_op_counts_on_acceptance_corpus_are_pinned():
+    # per-prime totals over the 100 acceptance-corpus filtrations; the
+    # column loop may change how it scans, but not this arithmetic
+    rng = random.Random(2026)
+    totals = dict.fromkeys(CORPUS_PRIMES, 0)
+    for i in range(100):
+        cx = _small_flag(rng) if i % 2 == 0 else _small_ym(rng)
+        for q in CORPUS_PRIMES:
+            totals[q] += reduce_single_field(cx, q)[1]
+    assert totals == dict.fromkeys(CORPUS_PRIMES, 1077)
+
+
+def test_op_counts_that_differ_by_prime_are_pinned():
+    cx = linial_meshulam(20, 1140, 1)
+    ops = {q: reduce_single_field(cx, q)[1] for q in (2, 3, 5, 7)}
+    assert ops == {2: 408, 3: 421, 5: 422, 7: 422}
 
 
 def test_save_field_diagram_format(tmp_path):
