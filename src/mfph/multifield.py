@@ -12,12 +12,15 @@ triple has mask Q and is registered before the loop; the loop visits
 only the columns that are neither empty, apparent nor cleared, and the
 diagram is assembled from arrays.  Because a coefficient can be zero in
 some fields and invertible in others, a column can have several pivot
-rows, one per group of fields; each produces a triple (birth, death,
-mask) where the mask is the product of the primes whose fields share
-that pair.  The collection of triples, plus essentials grouped the
-same way, is the multi-field diagram: P_r entries instead of
-sum_s P_F(s), with every pair shared by all fields stored once.  It
-holds pairs, not representative cycles.
+rows, one per group of fields, each the largest row nonzero modulo the
+fields still open; each produces a triple (birth, death, mask) where
+the mask is the product of the primes whose fields share that pair.
+The loop meets each earlier pivot at a row once, and keeps no more
+state than the reduction of Boissonnat and Maria (2019).  The
+collection of triples, plus essentials grouped the same way, is the
+multi-field diagram: P_r entries instead of sum_s P_F(s), with every
+pair shared by all fields stored once.  It holds pairs, not
+representative cycles.
 """
 
 from __future__ import annotations
@@ -95,24 +98,21 @@ def reduce_multifield(
     front with its own sign as pivot coefficient, and its pivot row is
     cleared.  The loop visits only the other nonempty columns that are
     not cleared.  Per column j the working mask Q_S starts at Q and
-    loses the fields of every pivot the column settles on.  At each
-    pivot row k the candidate mask Q_T collects the fields of Q_S where
-    col_j[k] is nonzero; previously reduced columns registered at row k
-    cancel their share of Q_T via partial inverses, and whatever
-    survives is recorded as the triple (m+1-j, m+1-k, Q_T).  The column
-    is done once Q_S is 1 or no entry is nonzero modulo Q_S.  Column j
-    is a dict from row to coefficient that each axpy adds into in place
-    (see mfph.complexes), and the pivot row on Q_S is its largest row
-    nonzero modulo Q_S, searched for in its rows sorted descending.  The
-    search continues below a pivot settled without an axpy, and starts
-    again from the largest row, sorted afresh, after an axpy, so a pivot
-    the axpys failed to cancel is found again and raises.  Columns
-    run in clearing order, and a column is skipped (cleared) once its
+    loses the fields of every pivot the column settles on.  The pivot
+    row k is the largest row nonzero modulo Q_S, which while Q_S = Q is
+    the largest stored row.  The candidate mask Q_T collects the fields
+    of Q_S where col_j[k] is nonzero; one pass over the pivots earlier
+    registered at row k lets each that shares fields with Q_T cancel its
+    share by an axpy with a partial inverse, and whatever survives is
+    recorded as the triple (m+1-j, m+1-k, Q_T).  The search then starts
+    afresh on the smaller Q_S, so a pivot the axpys failed to cancel is
+    found again and raises.  The column is done once Q_S is 1 or no
+    entry is nonzero modulo Q_S.  A column is skipped (cleared) once its
     index is a pivot row in every field.
 
     Raises InconsistencyError if an invariant of the reduction fails: a
     column is reduced by one that comes later in the clearing order, a
-    column's pivot neither rises nor loses fields, or an index is paired
+    column's pivot neither falls nor loses fields, or an index is paired
     twice in one field.
     """
     q_all = basis.product
@@ -126,9 +126,9 @@ def reduce_multifield(
     registry: dict[int, tuple[tuple[int, int, int], ...]]
     registry = dict(zip(app_rows.tolist(), zip(entries)))
     reduced: dict[int, SparseColumn] = {}
-    # masks of the indices the loop pairs; apparent pairs hold Q
-    row_mask: dict[int, int] = {}
-    col_mask: dict[int, int] = {}
+    # index -> product of the masks of the loop pairs that hold it, as
+    # row or column; apparent pairs hold their two indices on Q
+    cover: dict[int, int] = {}
     # the pivots (column, row, mask) the loop settles
     loop_cols: list[int] = []
     loop_rows: list[int] = []
@@ -144,37 +144,32 @@ def reduce_multifield(
         col = cb.column(j)
         mask_s = q_all
         prev = (q_all + 1, m + 1)
-        # the pivot row on mask_s is the largest row nonzero mod mask_s
-        rows = iter(sorted(col, reverse=True))
         while mask_s > 1:
-            for k in rows:
-                if col[k] % mask_s:
-                    break
+            # the pivot row is the largest row nonzero mod mask_s; on Q
+            # every stored row is, as column_axpy drops zeros mod Q
+            if mask_s == q_all:
+                k = max(col, default=0)
             else:
-                break  # no entry is nonzero mod mask_s
-            ck = col[k]
+                k = max((row for row, c in col.items() if c % mask_s), default=0)
+            if not k:
+                break
             if not (mask_s < prev[0] or k < prev[1]):
                 raise InconsistencyError(
                     f"column {j} neither shrank its mask nor lowered its pivot {k}"
                 )
             prev = (mask_s, k)
-            mask_t = mask_s // gcd(ck, mask_s)
-            changed = False
-            while mask_t > 1:
-                hit = None
-                for entry in registry.get(k, ()):
-                    shared = gcd(entry[1], mask_t)
-                    if shared > 1:
-                        hit = entry
-                        break
-                if hit is None:
-                    break
-                j2, mask2, c2 = hit
+            mask_t = mask_s // gcd(col[k], mask_s)
+            # mask_t only shrinks, so one pass meets every earlier pivot at
+            # row k that still shares fields with it
+            for j2, mask2, c2 in registry.get(k, ()):
+                shared = gcd(mask2, mask_t)
+                if shared == 1:
+                    continue
                 if j2 >= j:
                     raise InconsistencyError(
                         f"column {j} meets column {j2}, later in the clearing order, at row {k}"
                     )
-                mask_t //= gcd(mask2, mask_t)
+                mask_t //= shared
                 key = (c2, mask2)
                 xbar = inv_cache.get(key)
                 if xbar is None:
@@ -187,29 +182,24 @@ def reduce_multifield(
                     pinv_count += 1
                 else:
                     cache_hits += 1
-                if changed:
-                    ck = col.get(k, 0)
                 source = reduced.get(j2)
                 if source is None:  # an apparent column, listed once
                     source = reduced[j2] = cb.column(j2)
-                alpha = -ck * xbar % q_all
-                col = column_axpy(col, alpha, source, q_all)
+                col = column_axpy(col, -col.get(k, 0) * xbar, source, q_all)
                 axpy_count += 1
-                changed = True
             if mask_t != 1:
-                if changed:
-                    ck = col.get(k, 0)
-                registry[k] = registry.get(k, ()) + ((j, mask_t, ck),)
+                registry[k] = registry.get(k, ()) + ((j, mask_t, col[k]),)
                 loop_cols.append(j)
                 loop_rows.append(k)
                 loop_masks.append(mask_t)
-                row_mask[k] = row_mask.get(k, 1) * mask_t
-                if row_mask[k] == q_all:
+                # column k comes later in the clearing order, so cover[k]
+                # holds only row masks yet
+                cover[k] = cover.get(k, 1) * mask_t
+                if cover[k] == q_all:
                     skip[k] = True  # column k is cleared
-                col_mask[j] = col_mask.get(j, 1) * mask_t
                 mask_s //= mask_t
-            if changed:
-                rows = iter(sorted(col, reverse=True))
+        if mask_s < q_all:
+            cover[j] = cover.get(j, 1) * (q_all // mask_s)
         if col:
             reduced[j] = col
 
@@ -225,13 +215,13 @@ def reduce_multifield(
     free[0] = False
     ess_idx: list[int] = []
     ess_masks: list[int] = []
-    for i in sorted(row_mask.keys() | col_mask.keys()):
-        cover = row_mask.get(i, 1) * col_mask.get(i, 1) * (q_all if in_apparent[i] else 1)
-        if q_all % cover:
+    for i in sorted(cover):
+        held = cover[i] * (q_all if in_apparent[i] else 1)
+        if q_all % held:
             raise InconsistencyError(f"index {i} is paired twice in one field")
-        if cover < q_all:
+        if held < q_all:
             ess_idx.append(i)
-            ess_masks.append(q_all // cover)
+            ess_masks.append(q_all // held)
         free[i] = False
 
     # a pivot (row k, column j) of the anti-transposed coboundary matrix

@@ -41,9 +41,6 @@ class FieldDiagram:
     pairs: tuple[tuple[int, int | None], ...]
     dims: tuple[int, ...]
 
-    def pair_set(self) -> frozenset[tuple[int, int | None]]:
-        return frozenset(self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -40,9 +40,6 @@ class BettiTable:
     d_max: int
     beta: tuple[tuple[int, ...], ...]
 
-    def field_column(self, s: int) -> tuple[int, ...]:
-        return tuple(self.beta[d][s - 1] for d in range(self.d_max + 1))
-
 
 @dataclass(frozen=True)
 class IntegralProfile:

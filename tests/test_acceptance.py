@@ -72,7 +72,7 @@ def test_criterion_1_modular_equals_single_field_on_random_corpus(corpus):
     assert all(len(cx) <= 300 for cx, *_ in corpus)
     for cx, mf, _stats, singles in corpus:
         for s, q in enumerate(CORPUS_PRIMES, start=1):
-            assert mf.project(s).pair_set() == singles[q].pair_set()
+            assert frozenset(mf.project(s).pairs) == frozenset(singles[q].pairs)
 
 
 def test_criterion_2_crt_and_partial_inverse_laws_exhaustive():
@@ -130,7 +130,7 @@ def test_criterion_4_projective_plane_golden():
     assert table.beta[1] == (1, 0, 0)
     assert table.beta[2] == (1, 0, 0)
     for s, q in enumerate((2, 3, 5), start=1):
-        assert list(table.field_column(s)) == betti_prefix(cx, q)
+        assert [row[s - 1] for row in table.beta] == betti_prefix(cx, q)
     profile = infer_torsion(table)
     assert basis.primes[profile.reference - 1] == 5
     assert profile.consistent
@@ -150,7 +150,7 @@ def test_criterion_5_output_sensitive_accounting(corpus):
         partial = sum(1 for *_, mask in mf.triples if mask != full)
         partial += sum(1 for _, mask in mf.essentials if mask != full)
         common = frozenset.intersection(
-            *(d.pair_set() for d in singles.values())
+            *(frozenset(d.pairs) for d in singles.values())
         )
         assert partial == mf.p_r - len(common)
 

@@ -464,6 +464,14 @@ MALFORMED = [
     ("noprimes-torsion.flt", "0 0 0\n", ["torsion", "--input"], ["--primes", ""], "empty prime list"),
     ("noprimes-bench.flt", "0 0 0\n", ["bench", "--input"], ["--primes", ""], "empty prime list"),
     ("nor-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", ""], "bad r sweep ''"),
+    # a strong pseudoprime to every Miller-Rabin witness the test uses
+    (
+        "bigprime.flt",
+        "0 0 0\n",
+        ["torsion", "--input"],
+        ["--primes", "2,3317044064679887385961981"],
+        "primes must be below 3317044064679887385961981",
+    ),
 ]
 
 

@@ -37,6 +37,17 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     # Carmichael numbers and squares must not fool the test
     assert not is_prime(561) and not is_prime(341) and not is_prime(169)
+    # a strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
+
+
+def test_is_prime_refuses_numbers_beyond_its_exact_range():
+    # a strong pseudoprime to every witness, and a true prime above it
+    for n in (1287836182261 * 2575672364521, 2**89 - 1):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            PrimeBasis.of([2, n])
 
 
 def _idempotent(Q, q):

@@ -9,9 +9,9 @@ import pytest
 import mfph.multifield
 from mfph.complexes import FilteredComplex, format_value
 from mfph.crt import InconsistencyError, PrimeBasis, mask_primes
-from mfph.multifield import reduce_multifield, save_multifield_diagram
+from mfph.multifield import ReduceStats, reduce_multifield, save_multifield_diagram
 from mfph.single_field import reduce_single_field
-from mfph.generators import minimal_projective_plane
+from mfph.generators import linial_meshulam, minimal_projective_plane
 
 from oracles import (
     axpy_upper_bound,
@@ -47,7 +47,7 @@ def test_projections_match_single_field_runs():
         mf, _ = reduce_multifield(cx, basis)
         for s, q in enumerate(basis.primes, start=1):
             single, _ = reduce_single_field(cx, q)
-            assert mf.project(s).pair_set() == single.pair_set()
+            assert frozenset(mf.project(s).pairs) == frozenset(single.pairs)
 
 
 def test_cleared_reduction_matches_boundary_oracle():
@@ -62,7 +62,7 @@ def test_cleared_reduction_matches_boundary_oracle():
     for cx in complexes:
         mf, _ = reduce_multifield(cx, basis)
         for s, q in enumerate(basis.primes, start=1):
-            assert mf.project(s).pair_set() == boundary_pairs(cx, q)
+            assert frozenset(mf.project(s).pairs) == boundary_pairs(cx, q)
 
 
 def test_single_prime_degenerates_to_single_field():
@@ -71,7 +71,7 @@ def test_single_prime_degenerates_to_single_field():
     basis = PrimeBasis.of([2])
     mf, _ = reduce_multifield(cx, basis)
     single, _ = reduce_single_field(cx, 2)
-    assert mf.project(1).pair_set() == single.pair_set()
+    assert frozenset(mf.project(1).pairs) == frozenset(single.pairs)
     assert all(mask == 2 for _, _, mask in mf.triples)
     assert all(mask == 2 for _, mask in mf.essentials)
 
@@ -186,7 +186,7 @@ def test_homology_and_cohomology_agree_on_corpus():
         cx = random_small_complex(rng)
         mf, _ = reduce_multifield(cx, basis)
         for s, q in enumerate(basis.primes, start=1):
-            assert mf.project(s).pair_set() == boundary_pairs(cx, q)
+            assert frozenset(mf.project(s).pairs) == boundary_pairs(cx, q)
 
 
 def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
@@ -200,7 +200,7 @@ def test_cohomology_homology_and_dense_oracle_agree_on_acceptance_corpus():
         m = len(cx)
         for s, q in enumerate(basis.primes, start=1):
             diagram = cohomology.project(s)
-            assert diagram.pair_set() == boundary_pairs(cx, q)
+            assert frozenset(diagram.pairs) == boundary_pairs(cx, q)
             betti = [betti_at(diagram, m, d) for d in range(cx.max_dim + 1)]
             assert betti == betti_prefix(cx, q)
 
@@ -223,6 +223,25 @@ def test_op_counts_on_acceptance_corpus_are_pinned():
     assert apparent == 1146
 
 
+def test_rows_holding_several_pivots_are_pinned():
+    # Y(20, 1140) with 2-torsion over the first 25 primes: deaths 363 and
+    # 368 each end two classes (masks 2 and Q/2), so their rows hold two
+    # pivots, and births 51, 58 and 61 each settle two pivots
+    basis = PrimeBasis.first(25)
+    mf, stats = reduce_multifield(linial_meshulam(20, 1140, 1901292595), basis)
+    assert stats == ReduceStats(363, 8, 355, 81)
+    odd = basis.product // 2
+    assert [t for t in mf.triples if t[2] != basis.product] == [
+        (51, 363, 2),
+        (51, 366, odd),
+        (58, 368, odd),
+        (58, 371, 2),
+        (61, 363, odd),
+        (61, 368, 2),
+    ]
+    assert [e for e in mf.essentials if e[1] != basis.product] == [(366, 2), (371, odd)]
+
+
 def test_large_prime_matches_projection():
     # a prime above 2^16, where field elements outgrow 16 bits
     rng = random.Random(67)
@@ -233,7 +252,7 @@ def test_large_prime_matches_projection():
         mf, _ = reduce_multifield(cx, basis)
         single, ops = reduce_single_field(cx, 65537)
         ops_total += ops
-        assert mf.project(2).pair_set() == single.pair_set()
+        assert frozenset(mf.project(2).pairs) == frozenset(single.pairs)
     assert ops_total > 0
 
 
@@ -247,8 +266,8 @@ def test_prime_order_does_not_change_projections():
         b, _ = reduce_multifield(cx, shuffled)
         for q in (2, 3, 5):
             assert (
-                a.project(sorted_basis.primes.index(q) + 1).pair_set()
-                == b.project(shuffled.primes.index(q) + 1).pair_set()
+                frozenset(a.project(sorted_basis.primes.index(q) + 1).pairs)
+                == frozenset(b.project(shuffled.primes.index(q) + 1).pairs)
             )
 
 
@@ -309,7 +328,7 @@ def test_false_apparent_column_raises_in_both_reducers():
                     fault("multi", lambda: reduce_multifield(cx, basis))
                 for q in basis.primes:
                     if pair in truth[q]:
-                        assert reduce_single_field(cx, q)[0].pair_set() == truth[q]
+                        assert frozenset(reduce_single_field(cx, q)[0].pairs) == truth[q]
                     else:
                         fault("single", lambda: reduce_single_field(cx, q))
             finally:
