@@ -124,8 +124,7 @@ def run_bench(
     basis = PrimeBasis.of(primes)
     cx.coboundary()
     t_r, (mf, stats) = _median_time(lambda: reduce_multifield(cx, basis), repeats)
-    projections = [mf.project(s) for s in range(1, basis.r + 1)]
-    p_f = tuple(map(len, projections))
+    p_f = mf.field_sizes()
     if mf.p_r < max(p_f):
         raise InconsistencyError("P_r fell below a per-field diagram size")
 
@@ -144,7 +143,7 @@ def run_bench(
             singles[q] = diagram
             each.append(t_q)
             ops.append(op_count)
-        check_projections(projections, singles)
+        check_projections(mf.projections(), singles)
         t_bf_each = tuple(each)
         t_bf = sum(each)
         ratio = t_bf / t_r if t_r > 0 else float("inf")

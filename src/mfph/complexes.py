@@ -28,19 +28,29 @@ columns start from the signs +1/-1, and column_axpy writes values in
 all of them stays in the column, which is what lets one column carry
 every field at once.
 
-`FilteredComplex(items)` and `load_filtration` feed one array ingest:
-it sorts each dimension's vertex rows as int64 arrays, checks ids,
-values, duplicates and faces with numpy, and orders the filtration
-with one stable sort of the values of the rows taken in (dimension,
-vertex tuple) order.  A fault names one input simplex, and the loader
-names its line.
+A complex holds arrays only, as Ripser never stores a simplex as a
+tuple: each dimension's vertex rows in lexicographic order, and per
+filtration index its row there, its dimension and its value, beside
+the facet table.  `simplex(j)` reads one row; `simplices`,
+`values` and `dims` build their tuples afresh on each access, for
+callers that want them.  `FilteredComplex(items)`, the generators and
+`load_filtration` feed one array ingest: it sorts each dimension's
+vertex rows, checks ids, values, duplicates and faces with numpy, and
+orders the filtration with one stable sort of the values of the rows
+taken in (dimension, vertex tuple) order.  A fault names one input
+simplex, and the loader names its line.  The loader reads the file in
+blocks of whole lines and parses each block's tokens at once, each
+distinct token text once; a block it rejects is parsed again line by
+line, which names the first bad line.  `save_filtration` gathers its
+fields from the same arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +58,7 @@ Simplex = tuple[int, ...]
 SparseColumn = dict[int, int]  # row -> coefficient
 
 _VERTEX_MAX = (1 << 63) - 1  # vertex ids are matched as int64 rows of the facet table
+_BLOCK_CHARS = 1 << 16  # load_filtration reads whole lines about this many at a time
 
 __all__ = [
     "Coboundary",
@@ -79,10 +90,14 @@ class FilteredComplex:
     (value, dimension, vertex tuple) so that ties in value are broken
     deterministically, and the result is validated: faces must be
     present, enter no later than their cofaces, each step adds exactly
-    one simplex, and every value is finite.
+    one simplex, and every value is finite.  Only arrays are kept: each
+    dimension's vertex rows in lexicographic order (int32 when every id
+    fits), and per filtration index its row there, its dimension and its
+    value.  `simplices`, `values` and `dims` build their tuples afresh
+    on each access.
     """
 
-    __slots__ = ("simplices", "values", "dims", "_facets", "_coboundary")
+    __slots__ = ("_rows", "_pos", "_dims", "_values", "_facets", "_coboundary")
 
     def __init__(self, items):
         verts, values = tuple(zip(*items)) or ((), ())
@@ -100,19 +115,20 @@ class FilteredComplex:
 
     def _ingest(self, flat, dims, values) -> None:
         """Validate and order simplices given in input order as flat vertex
-        ids, dimensions and values.  Faults are checked in this order, the
-        first of each kind named: a simplex that is empty or has a repeated,
-        negative or too large vertex id (first in input order), a
-        non-finite value (first in input order), a duplicate (first in
-        filtration order), a missing or late face (first in filtration
-        order); each raises _Fault at an input position.
+        ids, dimensions and values (sequences or arrays).  Faults are
+        checked in this order, the first of each kind named: a simplex
+        that is empty or has a repeated, negative or too large vertex id
+        (first in input order), a non-finite value (first in input order),
+        a duplicate (first in filtration order), a missing or late face
+        (first in filtration order); each raises _Fault at an input
+        position.
         """
         dims = np.asarray(dims, dtype=np.int64)
-        vals = np.array(values, dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64)
         try:
-            ids = np.array(flat, dtype=np.int64)
+            ids = np.asarray(flat, dtype=np.int64)
         except OverflowError:  # an id beyond int64, rejected below as too large
-            ids = np.array(flat, dtype=object)
+            ids = np.asarray(flat, dtype=object)
         start = np.cumsum(dims + 1) - (dims + 1)
         top = int(dims.max(initial=-1))
 
@@ -146,7 +162,7 @@ class FilteredComplex:
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
-            raise _Fault(f"simplex {verts_at(i)} has non-finite value {values[i]}", i)
+            raise _Fault(f"simplex {verts_at(i)} has non-finite value {float(vals[i])}", i)
 
         # each dimension's rows in lexicographic order, equal rows by value
         # and then input order (the sort is stable); all dimensions in turn
@@ -176,27 +192,28 @@ class FilteredComplex:
                     dup = (index[k], tuple(rows[k].tolist()), int(max(at[k - 1], at[k])))
         if dup is not None:
             raise _Fault(f"duplicate simplex {dup[1]}", dup[2])
-        ranked: list[Simplex] = []
-        for _, rows in rows_by_dim:
-            ranked.extend(zip(*rows.T.tolist()))
-        self.simplices: tuple[Simplex, ...] = tuple(map(ranked.__getitem__, perm.tolist()))
-        # the caller's value objects, not copies
-        self.values: tuple[float, ...] = tuple(map(values.__getitem__, origin.tolist()))
-        dims = dims[origin]
-        self.dims: tuple[int, ...] = tuple(dims.tolist())
-        self._facets = self._facet_table([rows for _, rows in rows_by_dim], index_by_dim, dims, origin)
+        self._rows = tuple(rows for _, rows in rows_by_dim)
+        self._dims = dims[origin]
+        # perm holds positions among all dimensions' rows in turn
+        first_row = np.cumsum([0] + [len(rows) for rows in self._rows])
+        self._pos = (perm - first_row[self._dims]).astype(np.int32)
+        self._values = vals[origin]  # -0.0 keeps its sign
+        self._facets = self._facet_table(self._rows, index_by_dim, origin)
         self._coboundary = None  # built from the table on first use
+        # every id is a vertex's, and the largest vertex row comes last:
+        # ids that fit in int32 are kept so, in half the memory
+        if top >= 0 and self._rows[0][-1, 0] <= np.iinfo(np.int32).max:
+            self._rows = tuple(rows.astype(np.int32) for rows in self._rows)
 
-    def _facet_table(self, rows_by_dim, index_by_dim, dims, origin) -> np.ndarray:
+    def _facet_table(self, rows_by_dim, index_by_dim, origin) -> np.ndarray:
         """The (m+1) x (top+1) int32 facet table: at [j, p] the filtration
         index of simplex j's facet without vertex p, or 0 for no entry,
         found by binary search among the sorted rows_by_dim[d-1] (at
-        index_by_dim[d-1]); simplex j has dimension dims[j-1].  Raises
-        _Fault for the first simplex, in filtration order, with a face
-        missing (at the simplex's input position) or entering after it
-        (at the face's).
+        index_by_dim[d-1]).  Raises _Fault for the first simplex, in
+        filtration order, with a face missing (at the simplex's input
+        position) or entering after it (at the face's).
         """
-        m, top = len(dims), len(rows_by_dim) - 1
+        m, top = len(self), len(rows_by_dim) - 1
         table = np.zeros((m + 1, top + 1), dtype=np.int32)
         below_keys = below_index = None  # dimension d-1, then a sentinel
         for d, (rows, index) in enumerate(zip(rows_by_dim, index_by_dim)):
@@ -211,7 +228,7 @@ class FilteredComplex:
             below_keys = np.concatenate((_row_keys(rows), sentinel))
             below_index = np.append(index, np.int32(0))
         # entries 0..d of a d-simplex j, d >= 1, name simplices before j
-        dim = np.concatenate(([0], dims))[:, None]
+        dim = np.concatenate(([0], self._dims))[:, None]
         need = (np.arange(top + 1) <= dim) & (dim > 0)
         bad = need & ((table == 0) | (table >= np.arange(m + 1)[:, None]))
         hit = np.flatnonzero(bad.any(axis=1))
@@ -219,7 +236,7 @@ class FilteredComplex:
             j = int(hit[0])
             p = int(np.argmax(bad[j]))
             face = int(table[j, p])
-            verts = self.simplices[j - 1]
+            verts = self.simplex(j)
             facet = verts[:p] + verts[p + 1 :]
             if not face:
                 raise _Fault(f"simplex {verts} is missing its face {facet}", int(origin[j - 1]))
@@ -227,24 +244,47 @@ class FilteredComplex:
         return table
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self._dims)
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        """Every simplex as a vertex tuple, in filtration order."""
+        ranked: list[Simplex] = []
+        for rows in self._rows:
+            ranked.extend(zip(*rows.T.tolist()))
+        first_row = np.cumsum([0] + [len(rows) for rows in self._rows])
+        return tuple(map(ranked.__getitem__, (first_row[self._dims] + self._pos).tolist()))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        # the values ascend: one float object per run of one bit pattern
+        # (-0.0 and 0.0 apart), not one per simplex
+        bits = self._values.view(np.int64)
+        new = np.ones(len(bits), dtype=bool)
+        new[1:] = bits[1:] != bits[:-1]
+        floats = self._values[new].tolist()
+        return tuple(map(floats.__getitem__, (np.cumsum(new) - 1).tolist()))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(self._dims.tolist())
 
     def simplex(self, j: int) -> Simplex:
-        return self.simplices[j - 1]
+        return tuple(self._rows[self._dims[j - 1]][self._pos[j - 1]].tolist())
 
     def value(self, j: int) -> float:
-        return self.values[j - 1]
+        return float(self._values[j - 1])
 
     def dim(self, j: int) -> int:
-        return self.dims[j - 1]
+        return int(self._dims[j - 1])
 
     @property
     def max_dim(self) -> int:
-        return max(self.dims) if self.dims else -1
+        return len(self._rows) - 1
 
     def boundary_rows(self, j: int) -> tuple[tuple[int, int], ...]:
         """Facet rows of simplex j with signs +1/-1, sorted by row."""
-        d = self.dims[j - 1]
+        d = self.dim(j)
         facets = self._facets[j, : d + 1].tolist() if d else ()
         return tuple(sorted((f, -1 if p % 2 else 1) for p, f in enumerate(facets)))
 
@@ -263,7 +303,7 @@ class FilteredComplex:
         empty.  Row k's earliest column is that of simplex m+1-k's latest
         facet, so a column is apparent iff it is the earliest column of its
         largest row."""
-        m1 = len(self.simplices) + 1
+        m1 = len(self) + 1
         width = 2 * m1  # an entry's code is 2*row + (1 for sign -1)
         j, p = np.nonzero(self._facets)
         keys = (m1 - self._facets[j, p].astype(np.int64)) * width + 2 * (m1 - j) + p % 2
@@ -278,7 +318,7 @@ class FilteredComplex:
         filled = np.flatnonzero(indptr[1:] > indptr[:-1])
         low = m1 - rows[indptr[filled + 1] - 1].astype(np.int64)  # simplex of the largest row
         apparent = filled[m1 - self._facets[low].max(axis=1, initial=0) == filled]
-        dims = np.array(self.dims[::-1], dtype=np.int64)
+        dims = self._dims[::-1]
         order = np.argsort(dims, kind="stable") + 1
         bounds = np.searchsorted(dims[order - 1], np.arange(self.max_dim + 2))
         return Coboundary(indptr, rows, signs, order, tuple(bounds.tolist()), apparent)
@@ -383,33 +423,78 @@ def load_filtration(path) -> FilteredComplex:
     be sorted; the deterministic (value, dimension, vertices) order is
     imposed on load and closure is validated.  Values must be finite.
     Every fault that one line holds is reported as `path:lineno: ...`.
+    The file is read in blocks of whole lines, each parsed at once into
+    arrays; a block that _parse_block rejects is parsed again line by
+    line, which names the first bad line.
     """
+    blocks = []  # (flat vertex ids, dims, values) per block
+    first = 1  # the line number of a block's first line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while block := fh.readlines(_BLOCK_CHARS):
+            blocks.append(_parse_block(block) or _parse_lines(path, block, first))
+            first += len(block)
+    if not sum(len(dims) for _, dims, _ in blocks):
+        raise ValueError(f"{path}: empty filtration")
+    flat, dims, values = map(np.concatenate, zip(*blocks))
+    try:
+        return FilteredComplex._from_flat(flat, dims, values)
+    except _Fault as exc:
+        # exc.at counts data lines; only a fault pays for finding its line
+        lineno, _ = next(islice(data_lines(path), exc.at, None))
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _parse_block(lines):
+    """(flat vertex ids, dims, values) arrays of the data lines among
+    `lines`, or None unless every one is `dim v0 ... vd value` with
+    dim >= 0, ids within int64 and a finite value.  Tokens are read by
+    int and float, as in _parse_lines."""
+    lines = [fields for fields in map(str.split, lines) if fields and fields[0][0] != "#"]
+    try:
+        dims = _parse_each(list(map(itemgetter(0), lines)), int, np.int64)
+        values = _parse_each(list(map(itemgetter(-1), lines)), float, np.float64)
+        vertices = list(chain.from_iterable(map(itemgetter(slice(1, -1)), lines)))
+        flat = _parse_each(vertices, int, np.int64)
+    except (ValueError, OverflowError):
+        return None
+    width = np.fromiter(map(len, lines), np.int64, len(lines))
+    if (dims < 0).any() or (width != dims + 3).any() or not np.isfinite(values).all():
+        return None
+    return flat, dims, values
+
+
+def _parse_each(texts: list[str], parse, dtype) -> np.ndarray:
+    """The array of parse(text) over texts, parsing each distinct text once."""
+    distinct = dict.fromkeys(texts)
+    parsed = dict(zip(distinct, map(parse, distinct)))
+    return np.fromiter(map(parsed.__getitem__, texts), dtype, len(texts))
+
+
+def _parse_lines(path, lines, first: int):
+    """(flat vertex ids, dims, values) arrays of the data lines among
+    `lines`, numbered from `first`, parsed one line at a time; the first
+    bad line raises `path:lineno: bad simplex line: ...`.  Ids beyond
+    int64 are kept as Python ints, for the ingest to name."""
     flat: list[int] = []
     dims: list[int] = []
     values: list[float] = []
-    lines: list[int] = []
-    for lineno, parts in data_lines(path):
+    for lineno, raw in enumerate(lines, start=first):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         try:
             dim = int(parts[0])
             if dim < 0:
                 raise ValueError(f"negative dimension {dim}")
             if len(parts) != dim + 3:
-                raise ValueError(
-                    f"expected {dim + 3} fields for dimension {dim}"
-                )
+                raise ValueError(f"expected {dim + 3} fields for dimension {dim}")
             flat.extend(map(int, parts[1:-1]))
             value = finite_float(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad simplex line: {exc}") from None
         dims.append(dim)
         values.append(value)
-        lines.append(lineno)
-    if not dims:
-        raise ValueError(f"{path}: empty filtration")
-    try:
-        return FilteredComplex._from_flat(flat, dims, values)
-    except _Fault as exc:
-        raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from None
+    return np.array(flat, dtype=object), np.array(dims, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def save_filtration(cx: FilteredComplex, path, header=()) -> None:
@@ -418,15 +503,26 @@ def save_filtration(cx: FilteredComplex, path, header=()) -> None:
     One `dim v0 ... vd value` line per simplex in filtration order, the
     value by format_value.  Each distinct value is formatted once (-0.0
     and 0.0 are one value, and both read 0), and the lines in one
-    %-format over the whole file.
+    %-format over the whole file, whose fields are gathered from the
+    complex's arrays.  A header line holding a line break raises
+    ValueError before the file is opened: it would end the comment and
+    add lines to the filtration.
     """
-    uniq, which = np.unique(np.array(cx.values, dtype=np.float64), return_inverse=True)
-    text = [format_value(v) for v in uniq.tolist()]
+    header = list(header)
+    for line in header:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"header line {line!r} holds a line break")
+    uniq, which = np.unique(cx._values, return_inverse=True)
+    text = np.array([format_value(v) for v in uniq.tolist()], dtype=object)
+    dims = cx._dims
+    ends = np.cumsum(dims + 2)  # a line's fields: its d+1 vertex ids, then its value
+    fields = np.empty(int(ends[-1]) if len(ends) else 0, dtype=object)
+    fields[ends - 1] = text[which]
+    for d, rows in enumerate(cx._rows):
+        at = np.flatnonzero(dims == d)
+        fields[ends[at, None] - (d + 2) + np.arange(d + 1)] = rows[cx._pos[at]]
     fmt = [f"{d} " + "%d " * (d + 1) + "%s\n" for d in range(cx.max_dim + 1)]
-    value_text = map(text.__getitem__, which.tolist())
-    # each simplex's vertex ids, then its value's text
-    fields = chain.from_iterable(map(tuple.__add__, cx.simplices, zip(value_text)))
     with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        fh.write("".join(map(fmt.__getitem__, cx.dims)) % tuple(fields))
+        fh.write("".join(map(fmt.__getitem__, dims.tolist())) % tuple(fields.tolist()))

@@ -93,12 +93,11 @@ def _flag_complex(n: int, eu, ew, ev, max_dim: int) -> FilteredComplex:
             of, w = of[hit], w[hit]
             vals = np.maximum(vals[hit], ev[pos[hit]])
         rows = np.column_stack((rows[of], w))
-    # one float object per distinct value, not one per simplex
-    uniq, which = np.unique(np.concatenate(values), return_inverse=True)
-    values = list(map(uniq.tolist().__getitem__, which.tolist()))
     # looked up through the module: a timing wrapper without _from_flat
     # may stand in for this module's name (perfbench/spans.py)
-    return complexes.FilteredComplex._from_flat(np.concatenate(flat), np.concatenate(dims), values)
+    return complexes.FilteredComplex._from_flat(
+        np.concatenate(flat), np.concatenate(dims), np.concatenate(values)
+    )
 
 
 def rips_filtration(
@@ -168,7 +167,7 @@ def linial_meshulam(n: int, m_triangles: int, seed: int) -> FilteredComplex:
     edges = np.column_stack(np.triu_indices(n, 1))
     flat = np.concatenate((np.arange(n), edges.ravel(), triangles.ravel()))
     dims = np.repeat([0, 1, 2], [n, len(edges), m_triangles])
-    values = [0.0] * (n + len(edges)) + list(map(float, range(1, m_triangles + 1)))
+    values = np.concatenate((np.zeros(n + len(edges)), np.arange(1.0, m_triangles + 1)))
     # looked up through the module, as in _flag_complex
     return complexes.FilteredComplex._from_flat(flat, dims, values)
 

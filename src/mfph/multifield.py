@@ -25,9 +25,11 @@ representative cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain, repeat
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,6 +87,48 @@ class MultiFieldDiagram:
         pairs.sort(key=lambda p: p[0])
         dims = tuple(self.index_dims[i - 1] for i, _ in pairs)
         return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims)
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """The triples, then the essentials, as read-only int64 arrays of
+        births, deaths (0 for an essential) and mask ids, with the distinct
+        masks in order of first appearance: entry e has mask
+        masks[ids[e]].  Built on first use, and shared by every reader."""
+        triples, essentials = self.triples, self.essentials
+        masks = list(chain(map(itemgetter(2), triples), map(itemgetter(1), essentials)))
+        distinct = dict.fromkeys(masks)
+        id_of = dict(zip(distinct, range(len(distinct))))
+        n = len(masks)
+        arrays = (
+            np.fromiter(chain(map(itemgetter(0), triples), map(itemgetter(0), essentials)), np.int64, n),
+            np.fromiter(chain(map(itemgetter(1), triples), repeat(0, len(essentials))), np.int64, n),
+            np.fromiter(map(id_of.__getitem__, masks), np.int64, n),
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        return (*arrays, list(distinct))
+
+    def projections(self) -> list[FieldDiagram]:
+        """project(s) for s = 1..r.  Fields whose primes divide the same
+        masks have the same pairs, so each such group is projected once
+        and its diagram shared, with the prime of each field."""
+        masks = self.entries[3]
+        group: dict[tuple[bool, ...], FieldDiagram] = {}
+        out = []
+        for s, q in enumerate(self.basis.primes, start=1):
+            key = tuple(mask % q == 0 for mask in masks)
+            if key in group:
+                out.append(replace(group[key], prime=q))
+            else:
+                out.append(group.setdefault(key, self.project(s)))
+        return out
+
+    def field_sizes(self) -> tuple[int, ...]:
+        """P_F per field, in basis order: the entries whose mask its prime
+        divides, summed from one count per distinct mask."""
+        _, _, ids, masks = self.entries
+        count = np.bincount(ids, minlength=len(masks)).tolist()
+        return tuple(sum(n for mask, n in zip(masks, count) if mask % q == 0) for q in self.basis.primes)
 
 
 def reduce_multifield(

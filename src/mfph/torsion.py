@@ -14,7 +14,9 @@ recoverable from field Betti numbers and are rendered as q^*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import inf, lcm
+
+import numpy as np
 
 from .crt import PrimeBasis, mask_primes
 from .multifield import MultiFieldDiagram
@@ -66,9 +68,9 @@ def betti_table(
     """Tabulate Betti numbers over every basis field at filtration index t.
 
     t defaults to the end of the filtration; d_max to the largest
-    dimension present in the complex.  One sweep over the triples and
-    essentials counts the classes alive at t per (dimension, mask); each
-    count then goes to every field whose prime divides the mask.
+    dimension present in the complex.  The classes alive at t are
+    counted per (dimension, mask) over the diagram's arrays; each count
+    then goes to every field whose prime divides the mask.
     """
     m = len(mf.index_dims)
     if t is None:
@@ -77,26 +79,14 @@ def betti_table(
         raise ValueError(f"index t must be in [0, {m}]")
     if d_max is None:
         d_max = max(mf.index_dims, default=0)
-    dims = mf.index_dims
-    live: dict[tuple[int, int], int] = {}
-    for birth, death, mask in mf.triples:
-        if birth <= t < death:
-            key = (dims[birth - 1], mask)
-            live[key] = live.get(key, 0) + 1
-    for birth, mask in mf.essentials:
-        if birth <= t:
-            key = (dims[birth - 1], mask)
-            live[key] = live.get(key, 0) + 1
-    rows = [[0] * mf.basis.r for _ in range(d_max + 1)]
-    for (d, mask), count in live.items():
-        if d <= d_max:
-            row = rows[d]
-            for s, q in enumerate(mf.basis.primes):
-                if mask % q == 0:
-                    row[s] += count
-    return BettiTable(
-        basis=mf.basis, t=t, d_max=d_max, beta=tuple(tuple(row) for row in rows)
-    )
+    births, deaths, ids, masks = mf.entries
+    dims = np.array(mf.index_dims, dtype=np.int64)[births - 1]
+    alive = (births <= t) & ((deaths > t) | (deaths == 0)) & (dims <= d_max)
+    rows = max(d_max + 1, 0)
+    counts = np.bincount(dims[alive] * len(masks) + ids[alive], minlength=rows * len(masks))
+    divides = np.array([[mask % q == 0 for q in mf.basis.primes] for mask in masks], dtype=np.int64)
+    beta = counts.reshape(rows, len(masks)) @ divides.reshape(len(masks), mf.basis.r)
+    return BettiTable(basis=mf.basis, t=t, d_max=d_max, beta=tuple(map(tuple, beta.tolist())))
 
 
 def infer_torsion(table: BettiTable, reference: int | None = None) -> IntegralProfile:
@@ -189,25 +179,30 @@ def annotate_diagram(mf: MultiFieldDiagram) -> list[tuple[int, float, float, tup
 
     Returns (dim, birth_value, death_value, primes) tuples where primes
     is the sorted union over all pairings at that location; essentials
-    carry death_value = inf.  Points sort by (dim, birth, death).
+    carry death_value = inf.  Points sort by (dim, birth, death).  The
+    entries are grouped by location in numpy; a location whose entries
+    carry more than one mask takes their lcm, which for squarefree masks
+    is the union of their primes.
     """
-    # masks are squarefree, so the lcm of two is the union of their primes
-    located: dict[tuple[int, float, float], int] = {}
-    for birth, death, mask in mf.triples:
-        key = (
-            mf.index_dims[birth - 1],
-            mf.index_values[birth - 1],
-            mf.index_values[death - 1],
-        )
-        located[key] = lcm(located.get(key, 1), mask)
-    inf = float("inf")
-    for birth, mask in mf.essentials:
-        key = (mf.index_dims[birth - 1], mf.index_values[birth - 1], inf)
-        located[key] = lcm(located.get(key, 1), mask)
+    births, deaths, ids, masks = mf.entries
+    values = np.array((inf,) + mf.index_values, dtype=np.float64)  # index 0: no death
+    dims = np.array(mf.index_dims, dtype=np.int64)[births - 1]
+    bvals, dvals = values[births], values[deaths]
+    # stable: of entries at one location the first in the diagram leads,
+    # so a location at -0.0 and 0.0 keeps the value it met first
+    at = np.lexsort((dvals, bvals, dims))
+    dims, bvals, dvals, ids = dims[at], bvals[at], dvals[at], ids[at]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (dims[1:] != dims[:-1]) | (bvals[1:] != bvals[:-1]) | (dvals[1:] != dvals[:-1])
+    lead = np.flatnonzero(new)
+    located = [masks[i] for i in ids[lead].tolist()]
+    # an entry whose mask differs from the one before it at its location
+    joins = np.flatnonzero(~new & (ids != np.roll(ids, 1)))
+    for g, i in zip((np.cumsum(new)[joins] - 1).tolist(), ids[joins].tolist()):
+        located[g] = lcm(located[g], masks[i])
     # naming a mask tries every basis prime, while thousands of locations
     # in a Rips complex typically share one full mask
-    names: dict[int, tuple[int, ...]] = {}
-    for mask in located.values():
-        if mask not in names:
-            names[mask] = tuple(sorted(mask_primes(mf.basis, mask)))
-    return [(dim, bv, dv, names[mask]) for (dim, bv, dv), mask in sorted(located.items())]
+    names = {mask: tuple(sorted(mask_primes(mf.basis, mask))) for mask in set(located)}
+    return list(
+        zip(dims[lead].tolist(), bvals[lead].tolist(), dvals[lead].tolist(), map(names.__getitem__, located))
+    )

@@ -10,7 +10,7 @@ import math
 import random
 from itertools import combinations
 
-from mfph.complexes import FilteredComplex
+from mfph.complexes import FilteredComplex, _Fault, data_lines, finite_float
 from mfph.generators import linial_meshulam, minimal_projective_plane, random_flag
 
 
@@ -266,3 +266,31 @@ def axpy_upper_bound(mf):
     """
     m = len(mf.index_dims)
     return sum(m - death for _, death, _ in mf.triples)
+
+
+def reference_load_filtration(path):
+    """The filtration loader as it was before it read blocks of lines:
+    one line at a time through data_lines, each token through int or
+    finite_float, and the first bad line named as `path:lineno: ...`;
+    the ingest's faults are named by the line of the simplex."""
+    flat, dims, values, lines = [], [], [], []
+    for lineno, parts in data_lines(path):
+        try:
+            dim = int(parts[0])
+            if dim < 0:
+                raise ValueError(f"negative dimension {dim}")
+            if len(parts) != dim + 3:
+                raise ValueError(f"expected {dim + 3} fields for dimension {dim}")
+            flat.extend(map(int, parts[1:-1]))
+            value = finite_float(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad simplex line: {exc}") from None
+        dims.append(dim)
+        values.append(value)
+        lines.append(lineno)
+    if not dims:
+        raise ValueError(f"{path}: empty filtration")
+    try:
+        return FilteredComplex._from_flat(flat, dims, values)
+    except _Fault as exc:
+        raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from None

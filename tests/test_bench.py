@@ -1,6 +1,7 @@
 """Benchmark harness: word bounds, timing report, torsion windows."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from mfph.bench import (
     window_text,
 )
 from mfph.crt import InconsistencyError, PrimeBasis, first_primes, word_length
-from mfph.generators import minimal_projective_plane
+from mfph.generators import minimal_projective_plane, rips_filtration, sample_shape
 from mfph.multifield import reduce_multifield
 from mfph.single_field import FieldDiagram, reduce_single_field
 
@@ -158,6 +159,55 @@ def test_check_projections_catches_one_wrong_entry_in_any_field():
                 check_projections([bad if p.prime == q else p for p in projections], singles)
             mutations += 1
     assert mutations > sum(map(len, singles.values()))
+
+
+def test_projections_are_shared_per_group_of_fields():
+    # Rips: every mask is full, so the four fields form one group;
+    # RP^2 over 2, 3 and 5: field 2 has pairs of its own
+    rips = rips_filtration(sample_shape("cube-uniform", 30, seed=2), rho=0.5, max_dim=2)
+    for cx, primes, groups in ((rips, (2, 3, 5, 7), 1), (minimal_projective_plane(), (2, 3, 5), 2)):
+        mf, _ = reduce_multifield(cx, PrimeBasis.of(primes))
+        projections = mf.projections()
+        assert projections == [mf.project(s) for s in range(1, len(primes) + 1)]
+        assert [p.prime for p in projections] == list(primes)
+        assert len({id(p.pairs) for p in projections}) == groups
+        assert mf.field_sizes() == tuple(map(len, projections))
+        report, _ = run_bench(cx, primes, mode="modular", repeats=1)
+        assert report.p_f == mf.field_sizes()
+
+
+def test_grouped_check_catches_one_wrong_entry_in_any_field():
+    # every field of the Rips complex shares one projection; a wrong
+    # entry in any one field, on either side, still raises
+    cx = rips_filtration(sample_shape("cube-uniform", 30, seed=2), rho=0.5, max_dim=2)
+    primes = (2, 3, 5, 7)
+    mf, _ = reduce_multifield(cx, PrimeBasis.of(primes))
+    singles = {q: reduce_single_field(cx, q)[0] for q in primes}
+    check_projections(mf.projections(), singles)
+    mutations = 0
+    for q in primes:
+        good = singles[q].pairs
+        for k in range(0, len(good), 7):
+            birth, death = good[k]
+            pairs = good[:k] + ((birth, None if death is not None else len(cx) + 1),) + good[k + 1 :]
+            bad = FieldDiagram(prime=q, pairs=pairs, dims=singles[q].dims)
+            with pytest.raises(InconsistencyError, match=f"mod {q} "):
+                check_projections(mf.projections(), {**singles, q: bad})
+            mutations += 1
+        # the multi-field diagram loses field q on one entry
+        for k in range(0, len(mf.triples), 11):
+            birth, death, mask = mf.triples[k]
+            triples = mf.triples[:k] + ((birth, death, mask // q),) + mf.triples[k + 1 :]
+            with pytest.raises(InconsistencyError, match=f"mod {q} "):
+                check_projections(replace(mf, triples=triples).projections(), singles)
+            mutations += 1
+        for k in range(0, len(mf.essentials), 3):
+            birth, mask = mf.essentials[k]
+            essentials = mf.essentials[:k] + ((birth, mask // q),) + mf.essentials[k + 1 :]
+            with pytest.raises(InconsistencyError, match=f"mod {q} "):
+                check_projections(replace(mf, essentials=essentials).projections(), singles)
+            mutations += 1
+    assert mutations > 4 * 20
 
 
 def test_five_number():

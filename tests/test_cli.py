@@ -10,10 +10,11 @@ import pytest
 import mfph.cli as cli
 import mfph.multifield
 from mfph.crt import InconsistencyError
-from mfph.complexes import load_filtration, save_filtration
+from mfph.complexes import FilteredComplex, load_filtration, save_filtration
 from mfph.generators import (
     distance_matrix,
     minimal_projective_plane,
+    rips_filtration,
     sample_shape,
     save_points,
 )
@@ -401,6 +402,20 @@ def test_axpy_that_cancels_nothing_exits_3(rp2_file, monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
+def test_torsion_route_reads_no_simplex_tuples(tmp_path, monkeypatch, capsys):
+    # from file to annotated diagram the complex is read as arrays only
+    path = tmp_path / "rips.flt"
+    save_filtration(rips_filtration(sample_shape("cube-uniform", 40, seed=4), rho=0.45, max_dim=3), path)
+
+    def refuse(self):
+        raise AssertionError("FilteredComplex.simplices was read")
+
+    monkeypatch.setattr(FilteredComplex, "simplices", property(refuse))
+    argv = ["torsion", "--input", str(path), "-r", "10", "--annotate", "--csv", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == 0
+    assert "superimposed diagram points:" in capsys.readouterr().out
+
+
 def test_unsorted_primes_verify(rp2_file, capsys):
     code = cli.main(["reduce", "--input", rp2_file, "--primes", "5,2,3", "--mode", "both"])
     assert code == 0
@@ -464,6 +479,9 @@ MALFORMED = [
     ("noprimes-torsion.flt", "0 0 0\n", ["torsion", "--input"], ["--primes", ""], "empty prime list"),
     ("noprimes-bench.flt", "0 0 0\n", ["bench", "--input"], ["--primes", ""], "empty prime list"),
     ("nor-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", ""], "bad r sweep ''"),
+    # a points file whose name holds a line break: written into the
+    # header, it would end the comment and add a simplex to the file
+    ("pts\n0 99 0\n#", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2"], "holds a line break"),
     # a strong pseudoprime to every Miller-Rabin witness the test uses
     (
         "bigprime.flt",

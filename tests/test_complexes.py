@@ -13,7 +13,7 @@ from mfph.complexes import (
     save_filtration,
 )
 from mfph.crt import PrimeBasis, crt_project
-from mfph.generators import minimal_projective_plane, rips_filtration, sample_shape
+from mfph.generators import linial_meshulam, minimal_projective_plane, rips_filtration, sample_shape
 
 from oracles import (
     apparent_columns,
@@ -21,7 +21,12 @@ from oracles import (
     filled_triangle,
     klein_grid,
     random_small_complex,
+    reference_load_filtration,
 )
+
+# whitespace to str.split, but not a line break to text-mode line reading
+# (str.splitlines would break at all but \x1f)
+INLINE_SPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
 
 
 def test_ordering_and_indexing():
@@ -45,6 +50,10 @@ def test_ordering_and_indexing():
     assert cx.simplex(6) == (2, 3)
     assert len(cx) == 7
     assert cx.dims == (0, 0, 0, 1, 1, 1, 2)
+    # Python numbers, not numpy scalars, from every accessor
+    assert {type(v) for s in cx.simplices for v in s} == {type(v) for v in cx.simplex(7)} == {int}
+    assert {type(v) for v in cx.values} == {type(cx.value(1))} == {float}
+    assert {type(d) for d in cx.dims} == {type(cx.dim(1))} == {type(cx.max_dim)} == {int}
 
 
 def test_validation_rejects_bad_complexes():
@@ -183,7 +192,8 @@ def _assert_matches_reference(cx, items):
 
 def test_loaded_file_equals_items_path(tmp_path):
     # shuffled lines and vertices, comments and blank lines between them,
-    # tabs, runs of spaces and CRLF line ends
+    # tabs, runs of spaces, in-line whitespace and CRLF line ends; the
+    # per-line reference loader reads the same complex
     rng = random.Random(29)
     path = tmp_path / "messy.flt"
     for _ in range(20):
@@ -195,10 +205,86 @@ def test_loaded_file_equals_items_path(tmp_path):
         rng.shuffle(lines)
         text = ""
         for line in lines:
-            line = "".join(rng.choice((" ", "  ", "\t", " \t ")) if c == " " else c for c in line)
-            text += line + rng.choice(("\n", "\r\n", "\n\n", "\n# a comment\n", "\r\n \t\r\n"))
+            line = "".join(
+                rng.choice((" ", "  ", "\t", " \t ", *INLINE_SPACE)) if c == " " else c for c in line
+            )
+            text += line + rng.choice(("\n", "\r\n", "\n\n", "\n# a comment\n", "\r\n \t\r\n", "\r"))
         path.write_bytes(text.encode())
-        _assert_same_complex(load_filtration(path), FilteredComplex(items))
+        loaded = load_filtration(path)
+        _assert_same_complex(loaded, FilteredComplex(items))
+        _assert_same_complex(loaded, reference_load_filtration(path))
+
+
+def test_inline_whitespace_does_not_break_a_line(tmp_path):
+    path = tmp_path / "inline.flt"
+    for space in INLINE_SPACE:
+        path.write_text(f"0 0{space} 0\n0{space}1 0\n1 0 1 1{space}\n", encoding="utf-8")
+        _assert_same_complex(
+            load_filtration(path), FilteredComplex([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
+        )
+
+
+def _line_faults():
+    """(name, corrupt) pairs; corrupt(rng, fields) returns the bad
+    fields of one `dim v0 ... vd value` line, as bytes."""
+
+    def token(fields, at, bad):
+        return fields[:at] + [bad] + fields[at + 1 :]
+
+    return [
+        ("dim token", lambda rng, f: token(f, 0, rng.choice([b"x", b"1.5", b"0x1"]))),
+        ("negative dim", lambda rng, f: token(f, 0, b"-1")),
+        ("one field short", lambda rng, f: f[:-2] + f[-1:]),
+        ("one field over", lambda rng, f: f[:-1] + [b"7"] + f[-1:]),
+        ("vertex token", lambda rng, f: token(f, 1, rng.choice([b"v", b"1.5", b"1e3", b"--1"]))),
+        ("value token", lambda rng, f: token(f, len(f) - 1, rng.choice([b"abc", b"1.2.3", b"0x1"]))),
+        ("non-finite", lambda rng, f: token(f, len(f) - 1, rng.choice([b"nan", b"inf", b"-inf", b"1e999"]))),
+        ("non-UTF-8 byte", lambda rng, f: token(f, rng.randrange(len(f)), b"\xff" + f[0])),
+        ("id above int64", lambda rng, f: token(f, 1, str(1 << 63).encode())),
+        ("id below int64", lambda rng, f: token(f, 1, str(-(1 << 64)).encode())),
+    ]
+
+
+def test_loader_faults_match_the_reference_loop(tmp_path):
+    # a file of several blocks of lines: a fault in a later block is
+    # named by its line number in the whole file
+    path = tmp_path / "big.flt"
+    save_filtration(linial_meshulam(40, 9000, 3), path, header=["big"])
+    lines = path.read_bytes().split(b"\n")
+    assert len(b"\n".join(lines)) > 2 * (1 << 16)
+    rng = random.Random(61)
+    for name, corrupt in _line_faults():
+        for k in (1, 2, rng.randrange(1, len(lines) // 2), rng.randrange(len(lines) // 2, len(lines) - 1), len(lines) - 2):
+            bad = list(lines)
+            bad[k] = b" ".join(corrupt(rng, lines[k].split()))
+            path.write_bytes(b"\n".join(bad))
+            with pytest.raises(ValueError) as want:
+                reference_load_filtration(path)
+            with pytest.raises(ValueError) as got:
+                load_filtration(path)
+            assert str(got.value) == str(want.value), name
+            assert str(got.value).startswith(f"{path}:{k + 1}: "), name
+    # faults the ingest finds, named by the line of a simplex
+    for _ in range(6):
+        bad = list(lines)
+        a = rng.randrange(1, len(lines) - 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            bad.insert(rng.randrange(a, len(lines)), lines[a])  # a duplicate
+        elif kind == 1:
+            del bad[rng.randrange(1, 800)]  # a vertex or edge: its cofaces lose a face
+        else:
+            v = rng.randrange(1, 41)  # a vertex, on lines 1..40
+            bad[v] = b" ".join(lines[v].split()[:-1] + [b"99999"])  # enters after its edges
+        path.write_bytes(b"\n".join(bad))
+        with pytest.raises(ValueError) as want:
+            reference_load_filtration(path)
+        with pytest.raises(ValueError) as got:
+            load_filtration(path)
+        assert str(got.value) == str(want.value)
+    # and a clean file of several blocks reads as the reference does
+    path.write_bytes(b"\n".join(lines))
+    _assert_same_complex(load_filtration(path), reference_load_filtration(path))
 
 
 def test_loader_reads_tokens_as_int_and_float(tmp_path):
@@ -407,6 +493,18 @@ def test_save_filtration_equals_per_line_reference(tmp_path):
     for cx in others:
         save_filtration(cx, path)
         assert path.read_text() == _per_line_reference(cx, ())
+
+
+@pytest.mark.parametrize("line", ["two\nlines", "carriage\rreturn", "\n"])
+def test_save_filtration_rejects_a_header_line_with_a_line_break(tmp_path, line):
+    path = tmp_path / "tri.flt"
+    with pytest.raises(ValueError, match="holds a line break"):
+        save_filtration(filled_triangle(), path, header=["fine", line])
+    assert not path.exists()  # refused before the file is opened
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="holds a line break"):
+        save_filtration(filled_triangle(), path, header=[line])
+    assert path.read_text() == "kept\n"
 
 
 def test_filtration_file_float_values(tmp_path):

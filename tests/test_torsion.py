@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mfph.complexes import FilteredComplex
 from mfph.crt import PrimeBasis, mask_primes
 from mfph.generators import minimal_projective_plane
 from mfph.multifield import reduce_multifield
@@ -215,4 +216,14 @@ def test_annotate_diagram_matches_per_triple_union():
             key = (mf.index_dims[birth - 1], mf.index_values[birth - 1], math.inf)
             located.setdefault(key, set()).update(mask_primes(basis, mask))
         want = [(*key, tuple(sorted(qs))) for key, qs in sorted(located.items())]
-        assert annotate_diagram(mf) == want
+        points = annotate_diagram(mf)
+        assert points == want
+        # Python numbers, as the value formatter needs, not numpy scalars
+        assert {tuple(map(type, point)) for point in points} == {(int, float, float, tuple)}
+    # births at -0.0 and 0.0 share a location, named by the value of the
+    # first entry there (birth 2, at 0.0)
+    cx = FilteredComplex(
+        [((0,), -0.0), ((1,), 0.0), ((2,), -0.0), ((3,), 0.0), ((0, 1), 1.0), ((1, 2), 1.0), ((2, 3), 1.0)]
+    )
+    mf, _ = reduce_multifield(cx, basis)
+    assert repr(annotate_diagram(mf)) == repr([(0, 0.0, 1.0, (2, 3, 5)), (0, -0.0, math.inf, (2, 3, 5))])
