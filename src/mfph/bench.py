@@ -16,6 +16,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import FilteredComplex
 from .crt import InconsistencyError, PrimeBasis, word_length
 from .multifield import MultiFieldDiagram, reduce_multifield
@@ -283,25 +285,15 @@ def torsion_window(
     for _ in range(trials):
         cx = linial_meshulam(n, m_max, rng.randrange(2**63))
         mf, _stats = reduce_multifield(cx, basis)
-        deaths: dict[int, list[float]] = {}
-        for birth, death, _mask in mf.triples:
-            deaths.setdefault(birth, []).append(mf.index_values[death - 1])
-        for birth, _mask in mf.essentials:
-            deaths.setdefault(birth, []).append(float(m_max + 1))
-        lo = None
-        hi = None
-        for versions in deaths.values():
-            if len(versions) < 2:
-                continue
-            v_lo = min(versions)
-            v_hi = min(max(versions) - 1.0, float(m_max))
-            lo = v_lo if lo is None else min(lo, v_lo)
-            hi = v_hi if hi is None else max(hi, v_hi)
-        if lo is None:
+        # a birth index with more than one entry dies at different values
+        # in different fields, an essential at m_max + 1
+        torsion = np.bincount(mf.births)[mf.births] > 1
+        if not torsion.any():
             empty += 1
-        else:
-            lower.append(scale * lo - c_star)
-            upper.append(scale * hi - c_star)
+            continue
+        died = np.where(mf.deaths > 0, mf.index_values[mf.deaths - 1], m_max + 1.0)[torsion]
+        lower.append(scale * float(died.min()) - c_star)
+        upper.append(scale * min(float(died.max()) - 1.0, float(m_max)) - c_star)
     return WindowResult(
         n=n,
         m_max=m_max,

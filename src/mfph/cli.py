@@ -157,10 +157,10 @@ def _cmd_gen_flag(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cx = load_filtration(args.input)
-    primes = _resolve_primes(args)
+    basis = PrimeBasis.of(_resolve_primes(args))
 
     if args.mode == "bruteforce":
-        for q in primes:
+        for q in basis.primes:
             diagram, ops = reduce_single_field(cx, q)
             finite = sum(1 for _, death in diagram.pairs if death is not None)
             print(
@@ -171,15 +171,15 @@ def _cmd_reduce(args) -> int:
                 save_field_diagram(diagram, cx, f"{args.out}.q{q}")
         return EXIT_OK
 
-    basis = PrimeBasis.of(primes)
     mf, stats = reduce_multifield(cx, basis)
     if args.mode == "both":
-        singles = {q: reduce_single_field(cx, q)[0] for q in primes}
+        singles = {q: reduce_single_field(cx, q)[0] for q in basis.primes}
         check_projections(mf.projections(), singles)
         print(f"verified: all {basis.r} projections match single-field runs")
+    finite = int((mf.deaths > 0).sum())
     print(
         f"reduced {len(cx)} simplices over {basis.r} fields:"
-        f" {len(mf.triples)} triples, {len(mf.essentials)} essentials"
+        f" {finite} triples, {mf.p_r - finite} essentials"
         f" (P_r = {mf.p_r}), {stats.axpy_count} axpys,"
         f" {stats.partial_inverse_count} partial inverses"
     )

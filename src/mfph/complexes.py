@@ -198,6 +198,9 @@ class FilteredComplex:
         first_row = np.cumsum([0] + [len(rows) for rows in self._rows])
         self._pos = (perm - first_row[self._dims]).astype(np.int32)
         self._values = vals[origin]  # -0.0 keeps its sign
+        # shared with every diagram of the complex, so never written
+        self._dims.setflags(write=False)
+        self._values.setflags(write=False)
         self._facets = self._facet_table(self._rows, index_by_dim, origin)
         self._coboundary = None  # built from the table on first use
         # every id is a vertex's, and the largest vertex row comes last:
@@ -412,8 +415,10 @@ def finite_float(text: str) -> float:
 
 def format_value(v: float) -> str:
     """A filtration value as written to files: integral values without
-    the '.0', others (inf included) as repr."""
-    return repr(int(v)) if float(v).is_integer() else repr(v)
+    the '.0', others (inf included) as repr.  A numpy scalar is written
+    as the Python float it equals."""
+    v = float(v)
+    return repr(int(v)) if v.is_integer() else repr(v)
 
 
 def load_filtration(path) -> FilteredComplex:

@@ -17,19 +17,19 @@ fields still open; each produces a triple (birth, death, mask) where
 the mask is the product of the primes whose fields share that pair.
 The loop meets each earlier pivot at a row once, and keeps no more
 state than the reduction of Boissonnat and Maria (2019).  The
-collection of triples, plus essentials grouped the same way, is the
-multi-field diagram: P_r entries instead of sum_s P_F(s), with every
-pair shared by all fields stored once.  It holds pairs, not
-representative cycles.
+triples, plus essentials grouped the same way, are the multi-field
+diagram: P_r entries instead of sum_s P_F(s), every pair shared by all
+fields stored once, as pairs and not representative cycles.  It has
+one form, the reducer's arrays of births, deaths and mask ids beside
+the complex's own dimension and value arrays, and every reader pays
+per distinct mask, not per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, repeat
 from math import gcd
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,25 +54,45 @@ class ReduceStats:
     apparent_pairs: int  # columns settled as apparent pairs, without the loop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: fields are arrays
 class MultiFieldDiagram:
-    """All r persistence diagrams, deduplicated by field mask.
+    """All r persistence diagrams, deduplicated by field mask, as arrays.
 
-    triples: finite pairs (birth, death, mask); essentials: (birth, mask).
-    A mask is the product of the basis primes in whose fields the entry
-    holds.  index_dims/index_values give dimension and filtration value
-    per filtration index for reporting.
+    Entry e pairs births[e] with deaths[e], or is an essential class
+    born at births[e] when deaths[e] is 0, and holds in the fields whose
+    primes divide its mask masks[ids[e]].  births, deaths and ids are
+    read-only int64 arrays listing the finite pairs by (birth, death),
+    then the essentials by birth; masks holds the distinct masks, Q
+    first.  index_dims and index_values are the complex's own read-only
+    arrays, shared and not copied: index j has dimension index_dims[j-1]
+    and filtration value index_values[j-1].
     """
 
     basis: PrimeBasis
-    triples: tuple[tuple[int, int, int], ...]
-    essentials: tuple[tuple[int, int], ...]
-    index_dims: tuple[int, ...]
-    index_values: tuple[float, ...]
+    births: np.ndarray
+    deaths: np.ndarray
+    ids: np.ndarray
+    masks: tuple[int, ...]
+    index_dims: np.ndarray
+    index_values: np.ndarray
 
     @property
     def p_r(self) -> int:
-        return len(self.triples) + len(self.essentials)
+        return len(self.births)
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The finite pairs (birth, death, mask), built on each access."""
+        at = np.flatnonzero(self.deaths)
+        masks = map(self.masks.__getitem__, self.ids[at].tolist())
+        return tuple(zip(self.births[at].tolist(), self.deaths[at].tolist(), masks))
+
+    @property
+    def essentials(self) -> tuple[tuple[int, int], ...]:
+        """The essential classes (birth, mask), built on each access."""
+        at = np.flatnonzero(self.deaths == 0)
+        masks = map(self.masks.__getitem__, self.ids[at].tolist())
+        return tuple(zip(self.births[at].tolist(), masks))
 
     def project(self, s: int) -> FieldDiagram:
         """The single-field diagram of field s (1-based); ValueError
@@ -80,43 +100,21 @@ class MultiFieldDiagram:
         if not 1 <= s <= self.basis.r:
             raise ValueError(f"field index {s} out of range 1..{self.basis.r}")
         q = self.basis.primes[s - 1]
-        pairs: list[tuple[int, int | None]] = [
-            (i, j) for i, j, mask in self.triples if mask % q == 0
-        ]
-        pairs.extend((i, None) for i, mask in self.essentials if mask % q == 0)
-        pairs.sort(key=lambda p: p[0])
-        dims = tuple(self.index_dims[i - 1] for i, _ in pairs)
-        return FieldDiagram(prime=q, pairs=tuple(pairs), dims=dims)
-
-    @cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """The triples, then the essentials, as read-only int64 arrays of
-        births, deaths (0 for an essential) and mask ids, with the distinct
-        masks in order of first appearance: entry e has mask
-        masks[ids[e]].  Built on first use, and shared by every reader."""
-        triples, essentials = self.triples, self.essentials
-        masks = list(chain(map(itemgetter(2), triples), map(itemgetter(1), essentials)))
-        distinct = dict.fromkeys(masks)
-        id_of = dict(zip(distinct, range(len(distinct))))
-        n = len(masks)
-        arrays = (
-            np.fromiter(chain(map(itemgetter(0), triples), map(itemgetter(0), essentials)), np.int64, n),
-            np.fromiter(chain(map(itemgetter(1), triples), repeat(0, len(essentials))), np.int64, n),
-            np.fromiter(map(id_of.__getitem__, masks), np.int64, n),
-        )
-        for array in arrays:
-            array.setflags(write=False)
-        return (*arrays, list(distinct))
+        held = np.array([mask % q == 0 for mask in self.masks])[self.ids]
+        births, deaths = self.births[held], self.deaths[held]
+        at = np.argsort(births, kind="stable")
+        births = births[at]
+        pairs = tuple(zip(births.tolist(), [d or None for d in deaths[at].tolist()]))
+        return FieldDiagram(prime=q, pairs=pairs, dims=tuple(self.index_dims[births - 1].tolist()))
 
     def projections(self) -> list[FieldDiagram]:
         """project(s) for s = 1..r.  Fields whose primes divide the same
         masks have the same pairs, so each such group is projected once
         and its diagram shared, with the prime of each field."""
-        masks = self.entries[3]
         group: dict[tuple[bool, ...], FieldDiagram] = {}
         out = []
         for s, q in enumerate(self.basis.primes, start=1):
-            key = tuple(mask % q == 0 for mask in masks)
+            key = tuple(mask % q == 0 for mask in self.masks)
             if key in group:
                 out.append(replace(group[key], prime=q))
             else:
@@ -126,9 +124,8 @@ class MultiFieldDiagram:
     def field_sizes(self) -> tuple[int, ...]:
         """P_F per field, in basis order: the entries whose mask its prime
         divides, summed from one count per distinct mask."""
-        _, _, ids, masks = self.entries
-        count = np.bincount(ids, minlength=len(masks)).tolist()
-        return tuple(sum(n for mask, n in zip(masks, count) if mask % q == 0) for q in self.basis.primes)
+        count = np.bincount(self.ids, minlength=len(self.masks)).tolist()
+        return tuple(sum(n for mask, n in zip(self.masks, count) if mask % q == 0) for q in self.basis.primes)
 
 
 def reduce_multifield(
@@ -269,24 +266,26 @@ def reduce_multifield(
         free[i] = False
 
     # a pivot (row k, column j) of the anti-transposed coboundary matrix
-    # pairs birth m+1-j with death m+1-k; a column registers at a row once
-    births = m1 - np.concatenate((app_cols, np.array(loop_cols, dtype=np.int64)))
-    deaths = m1 - np.concatenate((app_rows, np.array(loop_rows, dtype=np.int64)))
-    masks = [q_all] * len(app_cols) + loop_masks
-    at = np.lexsort((deaths, births)).tolist()
-    triples = zip(births[at].tolist(), deaths[at].tolist(), map(masks.__getitem__, at))
+    # pairs birth m+1-j with death m+1-k, and an essential index i is born
+    # at m+1-i; the entries are the apparent pairs, the loop's pairs, the
+    # free indices and the loop's essentials, with Q as mask 0
     free = np.flatnonzero(free)
-    births = m1 - np.concatenate((free, np.array(ess_idx, dtype=np.int64)))
-    masks = [q_all] * len(free) + ess_masks
-    at = np.argsort(births).tolist()
-    essentials = zip(births[at].tolist(), map(masks.__getitem__, at))
-    diagram = MultiFieldDiagram(
-        basis=basis,
-        triples=tuple(triples),
-        essentials=tuple(essentials),
-        index_dims=cx.dims,
-        index_values=cx.values,
-    )
+    masks = tuple(dict.fromkeys(chain((q_all,), loop_masks, ess_masks)))
+    mask_id = dict(zip(masks, range(len(masks))))
+    n_app, n_fin, n_free = len(app_cols), len(app_cols) + len(loop_cols), len(free)
+    births = m1 - np.concatenate((app_cols, np.array(loop_cols, np.int64), free, np.array(ess_idx, np.int64)))
+    deaths = np.zeros(len(births), dtype=np.int64)
+    deaths[:n_fin] = m1 - np.concatenate((app_rows, np.array(loop_rows, np.int64)))
+    ids = np.zeros(len(births), dtype=np.int64)
+    ids[n_app:n_fin] = list(map(mask_id.__getitem__, loop_masks))
+    ids[n_fin + n_free :] = list(map(mask_id.__getitem__, ess_masks))
+    # the finite pairs by (birth, death), then the essentials by birth; a
+    # column registers at a row once, and an index is essential once
+    at = np.lexsort((deaths, births, deaths == 0))
+    births, deaths, ids = births[at], deaths[at], ids[at]
+    for array in (births, deaths, ids):
+        array.setflags(write=False)
+    diagram = MultiFieldDiagram(basis, births, deaths, ids, masks, cx._dims, cx._values)
     stats = ReduceStats(
         axpy_count=axpy_count,
         partial_inverse_count=pinv_count,
@@ -297,21 +296,18 @@ def reduce_multifield(
 
 
 def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:
-    """Write `dim birth death birth_value death_value primes=...` lines;
-    each distinct mask's primes are named once."""
-    rows: list[tuple[int, int, int | None, int]] = [
-        (mf.index_dims[i - 1], i, j, mask) for i, j, mask in mf.triples
-    ]
-    rows.extend((mf.index_dims[i - 1], i, None, mask) for i, mask in mf.essentials)
-    rows.sort(key=lambda e: (e[0], e[1], e[2] if e[2] is not None else 1 << 62))
-    masks = {e[3] for e in rows}
-    names = {mask: ",".join(map(str, mask_primes(mf.basis, mask))) for mask in masks}
+    """Write `dim birth death birth_value death_value primes=...` lines by
+    (dim, birth, death), an essential after the pairs of its birth with
+    `inf` for its death and death value.  Each distinct value and each
+    distinct mask is formatted once, as save_filtration does."""
+    dims = mf.index_dims[mf.births - 1]
+    at = np.lexsort((np.where(mf.deaths > 0, mf.deaths, len(mf.index_dims) + 1), mf.births, dims))
+    uniq, which = np.unique(mf.index_values, return_inverse=True)
+    text = [format_value(v) for v in uniq.tolist()]
+    text = list(map(text.__getitem__, which.tolist())) + ["inf"]  # index j at j-1, death 0 at -1
+    primes = [",".join(map(str, mask_primes(mf.basis, mask))) for mask in mf.masks]
+    rows = zip(dims[at].tolist(), mf.births[at].tolist(), mf.deaths[at].tolist(), mf.ids[at].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for dim, birth, death, mask in rows:
-            primes = names[mask]
-            bval = format_value(mf.index_values[birth - 1])
-            if death is None:
-                fh.write(f"{dim} {birth} inf {bval} inf primes={primes}\n")
-            else:
-                dval = format_value(mf.index_values[death - 1])
-                fh.write(f"{dim} {birth} {death} {bval} {dval} primes={primes}\n")
+        fh.writelines(
+            f"{d} {b} {e or 'inf'} {text[b - 1]} {text[e - 1]} primes={primes[i]}\n" for d, b, e, i in rows
+        )

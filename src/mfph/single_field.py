@@ -106,8 +106,7 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
     first[0] = False
     born = np.flatnonzero(first)
     pairs = tuple(zip(born.tolist(), [d or None for d in death_of[born].tolist()]))
-    dims = tuple(map(cx.dims.__getitem__, (born - 1).tolist()))
-    return FieldDiagram(prime=q, pairs=pairs, dims=dims), ops
+    return FieldDiagram(prime=q, pairs=pairs, dims=tuple(cx._dims[born - 1].tolist())), ops
 
 
 def save_field_diagram(diagram: FieldDiagram, cx: FilteredComplex, path) -> None:

@@ -78,9 +78,9 @@ def betti_table(
     if not 0 <= t <= m:
         raise ValueError(f"index t must be in [0, {m}]")
     if d_max is None:
-        d_max = max(mf.index_dims, default=0)
-    births, deaths, ids, masks = mf.entries
-    dims = np.array(mf.index_dims, dtype=np.int64)[births - 1]
+        d_max = int(mf.index_dims.max(initial=0))
+    births, deaths, ids, masks = mf.births, mf.deaths, mf.ids, mf.masks
+    dims = mf.index_dims[births - 1]
     alive = (births <= t) & ((deaths > t) | (deaths == 0)) & (dims <= d_max)
     rows = max(d_max + 1, 0)
     counts = np.bincount(dims[alive] * len(masks) + ids[alive], minlength=rows * len(masks))
@@ -184,10 +184,10 @@ def annotate_diagram(mf: MultiFieldDiagram) -> list[tuple[int, float, float, tup
     carry more than one mask takes their lcm, which for squarefree masks
     is the union of their primes.
     """
-    births, deaths, ids, masks = mf.entries
-    values = np.array((inf,) + mf.index_values, dtype=np.float64)  # index 0: no death
-    dims = np.array(mf.index_dims, dtype=np.int64)[births - 1]
-    bvals, dvals = values[births], values[deaths]
+    births, deaths, ids, masks = mf.births, mf.deaths, mf.ids, mf.masks
+    values = np.append(mf.index_values, inf)  # index j at j-1, no death (0) at -1
+    dims = mf.index_dims[births - 1]
+    bvals, dvals = values[births - 1], values[deaths - 1]
     # stable: of entries at one location the first in the diagram leads,
     # so a location at -0.0 and 0.0 keeps the value it met first
     at = np.lexsort((dvals, bvals, dims))

@@ -268,6 +268,28 @@ def axpy_upper_bound(mf):
     return sum(m - death for _, death, _ in mf.triples)
 
 
+def reference_divergence(mf, m_max):
+    """One torsion_window trial as it was computed per entry: each birth
+    index's death values across fields (an essential dying at m_max + 1),
+    and the hull, over births with more than one, of the intervals from
+    the earliest death to one step before the latest, capped at m_max;
+    None without such a birth."""
+    deaths = {}
+    for birth, death, _mask in mf.triples:
+        deaths.setdefault(birth, []).append(float(mf.index_values[death - 1]))
+    for birth, _mask in mf.essentials:
+        deaths.setdefault(birth, []).append(float(m_max + 1))
+    lo = hi = None
+    for versions in deaths.values():
+        if len(versions) < 2:
+            continue
+        v_lo = min(versions)
+        v_hi = min(max(versions) - 1.0, float(m_max))
+        lo = v_lo if lo is None else min(lo, v_lo)
+        hi = v_hi if hi is None else max(hi, v_hi)
+    return None if lo is None else (lo, hi)
+
+
 def reference_load_filtration(path):
     """The filtration loader as it was before it read blocks of lines:
     one line at a time through data_lines, each token through int or

@@ -1,8 +1,10 @@
 """Benchmark harness: word bounds, timing report, torsion windows."""
 
 import math
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mfph.bench
@@ -20,11 +22,11 @@ from mfph.bench import (
     window_text,
 )
 from mfph.crt import InconsistencyError, PrimeBasis, first_primes, word_length
-from mfph.generators import minimal_projective_plane, rips_filtration, sample_shape
+from mfph.generators import linial_meshulam, minimal_projective_plane, rips_filtration, sample_shape
 from mfph.multifield import reduce_multifield
 from mfph.single_field import FieldDiagram, reduce_single_field
 
-from oracles import filled_triangle
+from oracles import filled_triangle, reference_divergence
 
 
 def test_lambda_bound_values():
@@ -194,18 +196,15 @@ def test_grouped_check_catches_one_wrong_entry_in_any_field():
             with pytest.raises(InconsistencyError, match=f"mod {q} "):
                 check_projections(mf.projections(), {**singles, q: bad})
             mutations += 1
-        # the multi-field diagram loses field q on one entry
-        for k in range(0, len(mf.triples), 11):
-            birth, death, mask = mf.triples[k]
-            triples = mf.triples[:k] + ((birth, death, mask // q),) + mf.triples[k + 1 :]
+        # the multi-field diagram loses field q on one entry: every 11th
+        # finite pair and every 3rd essential in turn gets a mask of its own
+        finite, essential = np.flatnonzero(mf.deaths), np.flatnonzero(mf.deaths == 0)
+        for e in np.concatenate((finite[::11], essential[::3])).tolist():
+            ids = mf.ids.copy()
+            ids[e] = len(mf.masks)
+            bad = replace(mf, ids=ids, masks=mf.masks + (mf.masks[mf.ids[e]] // q,))
             with pytest.raises(InconsistencyError, match=f"mod {q} "):
-                check_projections(replace(mf, triples=triples).projections(), singles)
-            mutations += 1
-        for k in range(0, len(mf.essentials), 3):
-            birth, mask = mf.essentials[k]
-            essentials = mf.essentials[:k] + ((birth, mask // q),) + mf.essentials[k + 1 :]
-            with pytest.raises(InconsistencyError, match=f"mod {q} "):
-                check_projections(replace(mf, essentials=essentials).projections(), singles)
+                check_projections(bad.projections(), singles)
             mutations += 1
     assert mutations > 4 * 20
 
@@ -231,6 +230,27 @@ def test_torsion_window_determinism():
     a = torsion_window(8, 40, r=2, trials=2, c_star=1.0, seed=5)
     b = torsion_window(8, 40, r=2, trials=2, c_star=1.0, seed=5)
     assert a == b
+
+
+def test_torsion_window_matches_the_per_entry_reference_per_trial():
+    # Y(20, m) over five fields: each trial's hull, from the same draws,
+    # is compared exactly, on trials with and without torsion; at m = 145
+    # one trial's torsion lasts to the end, where a field's class is
+    # essential
+    basis = PrimeBasis.first(5)
+    for m_max, seed in ((145, 2), (math.comb(20, 3), 1)):
+        res = torsion_window(20, m_max, r=5, trials=12, c_star=0.5, seed=seed)
+        rng = random.Random(seed)
+        hulls = []
+        for _ in range(12):
+            mf, _ = reduce_multifield(linial_meshulam(20, m_max, rng.randrange(2**63)), basis)
+            hulls.append(reference_divergence(mf, m_max))
+        found = [h for h in hulls if h is not None]
+        assert 0 < len(found) < len(hulls) and res.empty_trials == len(hulls) - len(found)
+        scale = 20 / math.comb(20, 3)
+        assert res.lower == tuple(scale * lo - 0.5 for lo, _ in found)
+        assert res.upper == tuple(scale * hi - 0.5 for _, hi in found)
+        assert {type(x) for x in res.lower + res.upper} == {float}
 
 
 def test_torsion_window_validation():

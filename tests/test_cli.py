@@ -9,7 +9,8 @@ import pytest
 
 import mfph.cli as cli
 import mfph.multifield
-from mfph.crt import InconsistencyError
+from mfph.bench import torsion_window
+from mfph.crt import InconsistencyError, PrimeBasis
 from mfph.complexes import FilteredComplex, load_filtration, save_filtration
 from mfph.generators import (
     distance_matrix,
@@ -18,6 +19,9 @@ from mfph.generators import (
     sample_shape,
     save_points,
 )
+from mfph.multifield import reduce_multifield, save_multifield_diagram
+from mfph.single_field import reduce_single_field
+from mfph.torsion import annotate_diagram, betti_table
 
 from oracles import filled_triangle
 
@@ -402,18 +406,33 @@ def test_axpy_that_cancels_nothing_exits_3(rp2_file, monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
-def test_torsion_route_reads_no_simplex_tuples(tmp_path, monkeypatch, capsys):
-    # from file to annotated diagram the complex is read as arrays only
+def test_diagram_routes_read_no_per_index_tuples(tmp_path, monkeypatch, capsys):
+    # from file to every diagram, table and window the complex is read
+    # as arrays only: its per-index tuples are never built
+    cx = rips_filtration(sample_shape("cube-uniform", 40, seed=4), rho=0.45, max_dim=3)
     path = tmp_path / "rips.flt"
-    save_filtration(rips_filtration(sample_shape("cube-uniform", 40, seed=4), rho=0.45, max_dim=3), path)
+    save_filtration(cx, path)
+    for name in ("simplices", "values", "dims"):
 
-    def refuse(self):
-        raise AssertionError("FilteredComplex.simplices was read")
+        def refuse(self, name=name):
+            raise AssertionError(f"FilteredComplex.{name} was read")
 
-    monkeypatch.setattr(FilteredComplex, "simplices", property(refuse))
-    argv = ["torsion", "--input", str(path), "-r", "10", "--annotate", "--csv", str(tmp_path / "t.csv")]
-    assert cli.main(argv) == 0
-    assert "superimposed diagram points:" in capsys.readouterr().out
+        monkeypatch.setattr(FilteredComplex, name, property(refuse))
+    mf, _ = reduce_multifield(cx, PrimeBasis.first(10))
+    reduce_single_field(cx, 2)
+    betti_table(mf)
+    annotate_diagram(mf)
+    save_multifield_diagram(mf, tmp_path / "rips.mdgm")
+    assert torsion_window(12, None, 3, 2, 2.754, seed=1).trials == 2
+    for argv in (
+        ["reduce", "--input", str(path), "-r", "3", "--out", str(tmp_path / "r.mdgm")],
+        ["reduce", "--input", str(path), "-r", "3", "--mode", "both"],
+        ["torsion", "--input", str(path), "-r", "10", "--annotate", "--csv", str(tmp_path / "t.csv")],
+        ["window", "--n", "12", "--trials", "2", "-r", "3", "--c-star", "2.754"],
+    ):
+        assert cli.main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "verified: all 3 projections" in out and "superimposed diagram points:" in out
 
 
 def test_unsorted_primes_verify(rp2_file, capsys):
@@ -479,6 +498,9 @@ MALFORMED = [
     ("noprimes-torsion.flt", "0 0 0\n", ["torsion", "--input"], ["--primes", ""], "empty prime list"),
     ("noprimes-bench.flt", "0 0 0\n", ["bench", "--input"], ["--primes", ""], "empty prime list"),
     ("nor-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", ""], "bad r sweep ''"),
+    # every mode checks the prime list as a whole before it reduces
+    ("twice-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "2,2", "--mode", "bruteforce"], "distinct"),
+    ("one-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "3,1", "--mode", "bruteforce"], "1 is not prime"),
     # a points file whose name holds a line break: written into the
     # header, it would end the comment and add a simplex to the file
     ("pts\n0 99 0\n#", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2"], "holds a line break"),

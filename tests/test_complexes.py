@@ -517,6 +517,15 @@ def test_filtration_file_float_values(tmp_path):
     assert load_filtration(out).value(3) == 0.75
 
 
+def test_format_value_writes_numpy_scalars_as_their_floats():
+    # readers that index the complex's value array hold numpy scalars
+    for value, text in ((0.5, "0.5"), (2.0, "2"), (-0.0, "0"), (1e-3, "0.001"), (float("inf"), "inf")):
+        assert format_value(value) == format_value(np.float64(value)) == text
+    assert format_value(np.float32(0.5)) == "0.5"
+    cx = FilteredComplex([((0,), 0.25), ((1,), 3.0)])
+    assert [format_value(v) for v in cx._values] == ["0.25", "3"]
+
+
 def test_filtration_loader_errors(tmp_path):
     path = tmp_path / "bad.flt"
     path.write_text("0 1 0.0\nnot a line\n")

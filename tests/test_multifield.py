@@ -11,7 +11,7 @@ from mfph.complexes import FilteredComplex, format_value
 from mfph.crt import InconsistencyError, PrimeBasis, mask_primes
 from mfph.multifield import ReduceStats, reduce_multifield, save_multifield_diagram
 from mfph.single_field import reduce_single_field
-from mfph.generators import linial_meshulam, minimal_projective_plane
+from mfph.generators import linial_meshulam, minimal_projective_plane, rips_filtration, sample_shape
 
 from oracles import (
     axpy_upper_bound,
@@ -37,6 +37,29 @@ def test_filled_triangle_triples():
     # meets the pivots of vertices 2 and 3, one axpy each, and becomes
     # the essential class; clearing then skips the two paired edges
     assert stats.axpy_count == 2
+
+
+def test_diagram_holds_one_array_form():
+    # RP^2 coned off over 2 and 3: partial masks on both sides
+    cx = coned_projective_plane()
+    basis = PrimeBasis.of([2, 3])
+    mf, _ = reduce_multifield(cx, basis)
+    assert mf.index_dims is cx._dims and mf.index_values is cx._values
+    arrays = (mf.births, mf.deaths, mf.ids)
+    assert {a.dtype for a in arrays} == {np.dtype(np.int64)}
+    assert not any(a.flags.writeable for a in arrays + (mf.index_dims, mf.index_values))
+    assert not hasattr(mf, "entries")
+    assert mf.masks[0] == basis.product and len(set(mf.masks)) == len(mf.masks) > 1
+    assert sorted(set(mf.ids.tolist())) == list(range(len(mf.masks)))
+    # the finite pairs by (birth, death), then the essentials by birth
+    pairs = list(zip(mf.births.tolist(), mf.deaths.tolist()))
+    finite = int((mf.deaths > 0).sum())
+    assert pairs[:finite] == sorted(pairs[:finite]) and all(d > 0 for _, d in pairs[:finite])
+    assert pairs[finite:] == sorted((b, 0) for b, _ in pairs[finite:])
+    masks = [mf.masks[i] for i in mf.ids.tolist()]
+    assert mf.triples + mf.essentials == tuple(
+        (b, d, mask) if d else (b, mask) for (b, d), mask in zip(pairs, masks)
+    )
 
 
 def test_projections_match_single_field_runs():
@@ -166,6 +189,8 @@ def test_save_multifield_diagram_matches_per_row_writer(tmp_path):
     rng = random.Random(2026)
     complexes = [coned_projective_plane(), minimal_projective_plane(), filled_triangle()]
     complexes += [_small_ym(rng) for _ in range(6)]
+    # values that are not integers, read from the complex's array
+    complexes.append(rips_filtration(sample_shape("cube-uniform", 25, seed=3), 0.5, 2))
     partial = 0
     for i, cx in enumerate(complexes):
         mf, _ = reduce_multifield(cx, basis)
