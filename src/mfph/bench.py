@@ -6,7 +6,8 @@ P_F counts the pairs (finite or essential) of one field's diagram and
 P_r the distinct pairings of the multi-field diagram, so P_r - max P_F
 measures the extra entries introduced by torsion.  lambda_q is the
 64-bit word length of the CRT modulus Q; lambda_bound is a closed-form
-prime-theoretic estimate of it for the first r primes.
+prime-theoretic estimate of it for the first r primes, reported only
+for a run over those primes (in any order).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FilteredComplex
-from .crt import InconsistencyError, PrimeBasis, word_length
+from .crt import InconsistencyError, PrimeBasis, first_primes, word_length
 from .multifield import MultiFieldDiagram, reduce_multifield
 from .single_field import FieldDiagram, reduce_single_field
 
@@ -69,7 +70,7 @@ class BenchReport:
     cache_hits: int
     single_field_ops: tuple[int, ...] | None
     lambda_q: int
-    lambda_q_bound: int
+    lambda_q_bound: int | None  # None unless the primes are the first r
 
     @property
     def r(self) -> int:
@@ -151,6 +152,7 @@ def run_bench(
         ratio = t_bf / t_r if t_r > 0 else float("inf")
         single_ops = tuple(ops)
 
+    first = sorted(basis.primes) == list(first_primes(basis.r))  # where lambda_bound holds
     report = BenchReport(
         primes=basis.primes,
         repeats=repeats,
@@ -167,17 +169,17 @@ def run_bench(
         cache_hits=stats.cache_hits,
         single_field_ops=single_ops,
         lambda_q=word_length(basis.product),
-        lambda_q_bound=lambda_bound(basis.r),
+        lambda_q_bound=lambda_bound(basis.r) if first else None,
     )
     return report, mf
 
 
 def bench_text(report: BenchReport) -> str:
+    bound = "" if report.lambda_q_bound is None else f" (bound {report.lambda_q_bound})"
     lines = [
         f"complex: {report.n_simplices} simplices, max dim {report.max_dim}",
         f"fields: r={report.r} primes {report.primes[0]}..{report.primes[-1]},"
-        f" lambda(Q)={report.lambda_q} words (bound {report.lambda_q_bound})"
-        " at w=64",
+        f" lambda(Q)={report.lambda_q} words{bound} at w=64",
         f"T_r = {report.t_r:.4f} s (median of {report.repeats})",
     ]
     if report.t_bf is not None:
@@ -199,13 +201,15 @@ BENCH_CSV_HEADER = (
 
 
 def bench_csv_rows(reports) -> list[str]:
-    """One row per report; empty fields where the baseline was not run."""
+    """One row per report; empty fields where the baseline was not run,
+    and an empty lambda_q_bound unless the primes are the first r."""
     rows = [BENCH_CSV_HEADER]
     for rep in reports:
+        bound = rep.lambda_q_bound if rep.lambda_q_bound is not None else ""
         t_bf = f"{rep.t_bf:.6f}" if rep.t_bf is not None else ""
         ratio = f"{rep.ratio:.4f}" if rep.ratio is not None else ""
         rows.append(
-            f"{rep.r},64,{rep.lambda_q},{rep.lambda_q_bound},"
+            f"{rep.r},64,{rep.lambda_q},{bound},"
             f"{rep.t_r:.6f},{t_bf},{ratio},{rep.p_r},{max(rep.p_f)},"
             f"{rep.axpy_count},{rep.partial_inverse_count},{rep.cache_hits}"
         )

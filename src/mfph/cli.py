@@ -116,6 +116,10 @@ def _cmd_rips(args) -> int:
         if args.save_points:
             save_points(points, args.save_points, header=[source])
         cx = rips_filtration(points, args.rho, args.max_dim)
+    elif args.save_points is not None:
+        raise ValueError("--save-points requires --shape")
+    elif args.n is not None:
+        raise ValueError("--n requires --shape")
     elif args.points is not None:
         points = load_points(args.points)
         source = f"points={args.points}"

@@ -42,7 +42,8 @@ simplex, and the loader names its line.  The loader reads the file in
 blocks of whole lines and parses each block's tokens at once, each
 distinct token text once; a block it rejects is parsed again line by
 line, which names the first bad line.  `save_filtration` gathers its
-fields from the same arrays.
+fields from the same arrays, and so does `save_diagram`, the one
+writer of both reducers' diagrams.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "finite_float",
     "format_value",
     "load_filtration",
+    "save_diagram",
     "save_filtration",
 ]
 
@@ -419,6 +421,26 @@ def format_value(v: float) -> str:
     as the Python float it equals."""
     v = float(v)
     return repr(int(v)) if v.is_integer() else repr(v)
+
+
+def save_diagram(path, births, deaths, ids, labels, index_dims, index_values) -> None:
+    """Write one `dim birth death birth_value death_value label` line per
+    diagram entry, by (dim, birth, death).  Entry e pairs births[e] with
+    deaths[e], or is an essential class born at births[e] when deaths[e]
+    is 0, written after the pairs of its birth with `inf` for its death
+    and death value; its label is labels[ids[e]].  index_dims and
+    index_values are the complex's arrays: index j at j-1.  Each
+    distinct value is formatted once, as save_filtration does."""
+    dims = index_dims[births - 1]
+    at = np.lexsort((np.where(deaths > 0, deaths, len(index_dims) + 1), births, dims))
+    uniq, which = np.unique(index_values, return_inverse=True)
+    text = [format_value(v) for v in uniq.tolist()]
+    text = list(map(text.__getitem__, which.tolist())) + ["inf"]  # index j at j-1, death 0 at -1
+    rows = zip(dims[at].tolist(), births[at].tolist(), deaths[at].tolist(), ids[at].tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            f"{d} {b} {e or 'inf'} {text[b - 1]} {text[e - 1]} {labels[i]}\n" for d, b, e, i in rows
+        )
 
 
 def load_filtration(path) -> FilteredComplex:

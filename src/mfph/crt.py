@@ -3,10 +3,10 @@
 With Q = q_1 * ... * q_r the ring Z/QZ splits as a product of the fields
 Z/q_sZ, so a single integer in [0, Q) carries one residue per field and
 ring operations act on all fields at once.  This module builds the
-splitting (PrimeBasis), converts between the two views (crt_combine /
-crt_project), and constructs the partial identities and partial inverses
-that make one Z/QZ scalar act on a chosen subset of fields while leaving
-the rest untouched.
+splitting (PrimeBasis), names the primes of a subset of fields
+(mask_primes), and constructs the partial inverses that make one Z/QZ
+scalar act on a chosen subset of fields while leaving the rest
+untouched.
 
 A subset S of fields is always passed around as its modulus mask: the
 divisor Q_S = prod_{s in S} q_s of Q.  Mask 1 is the empty set, mask Q
@@ -21,12 +21,9 @@ from dataclasses import dataclass
 __all__ = [
     "InconsistencyError",
     "PrimeBasis",
-    "crt_combine",
-    "crt_project",
     "first_primes",
     "is_prime",
     "mask_primes",
-    "partial_identity",
     "partial_inverse",
     "word_length",
 ]
@@ -129,35 +126,6 @@ def mask_primes(basis: PrimeBasis, mask: int) -> tuple[int, ...]:
     unless mask divides Q."""
     _check_mask(basis, mask)
     return tuple(q for q in basis.primes if mask % q == 0)
-
-
-def crt_combine(basis: PrimeBasis, residues) -> int:
-    """The unique x in [0, Q) with x = u_s mod q_s for every field s."""
-    us = list(residues)
-    if len(us) != basis.r:
-        raise ValueError(f"expected {basis.r} residues, got {len(us)}")
-    for u, q in zip(us, basis.primes):
-        if not 0 <= u < q:
-            raise ValueError(f"residue {u} out of range for prime {q}")
-    return sum(u * partial_identity(basis, q) for u, q in zip(us, basis.primes)) % basis.product
-
-
-def crt_project(basis: PrimeBasis, x: int, s: int) -> int:
-    """Residue of x in field s (1-based)."""
-    if not 1 <= s <= basis.r:
-        raise ValueError(f"field index {s} out of range 1..{basis.r}")
-    return x % basis.primes[s - 1]
-
-
-def partial_identity(basis: PrimeBasis, mask: int) -> int:
-    """L_S: the element that is 1 mod q_s for s in S, 0 mod the rest.
-
-    With c = Q / Q_S, it is c * (c^-1 mod Q_S): c vanishes on the fields
-    outside S, and the product is below c * Q_S = Q.
-    """
-    _check_mask(basis, mask)
-    c = basis.product // mask
-    return c * pow(c, -1, mask)
 
 
 def partial_inverse(basis: PrimeBasis, x: int, mask: int) -> tuple[int, int]:

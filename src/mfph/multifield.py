@@ -33,7 +33,7 @@ from math import gcd
 
 import numpy as np
 
-from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
+from .complexes import FilteredComplex, SparseColumn, column_axpy, save_diagram
 from .crt import InconsistencyError, PrimeBasis, mask_primes, partial_inverse
 from .single_field import FieldDiagram
 
@@ -297,17 +297,6 @@ def reduce_multifield(
 
 def save_multifield_diagram(mf: MultiFieldDiagram, path) -> None:
     """Write `dim birth death birth_value death_value primes=...` lines by
-    (dim, birth, death), an essential after the pairs of its birth with
-    `inf` for its death and death value.  Each distinct value and each
-    distinct mask is formatted once, as save_filtration does."""
-    dims = mf.index_dims[mf.births - 1]
-    at = np.lexsort((np.where(mf.deaths > 0, mf.deaths, len(mf.index_dims) + 1), mf.births, dims))
-    uniq, which = np.unique(mf.index_values, return_inverse=True)
-    text = [format_value(v) for v in uniq.tolist()]
-    text = list(map(text.__getitem__, which.tolist())) + ["inf"]  # index j at j-1, death 0 at -1
-    primes = [",".join(map(str, mask_primes(mf.basis, mask))) for mask in mf.masks]
-    rows = zip(dims[at].tolist(), mf.births[at].tolist(), mf.deaths[at].tolist(), mf.ids[at].tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f"{d} {b} {e or 'inf'} {text[b - 1]} {text[e - 1]} primes={primes[i]}\n" for d, b, e, i in rows
-        )
+    save_diagram, each distinct mask's primes listed once."""
+    labels = ["primes=" + ",".join(map(str, mask_primes(mf.basis, mask))) for mask in mf.masks]
+    save_diagram(path, mf.births, mf.deaths, mf.ids, labels, mf.index_dims, mf.index_values)

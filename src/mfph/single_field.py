@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, SparseColumn, column_axpy, format_value
+from .complexes import FilteredComplex, SparseColumn, column_axpy, save_diagram
 from .crt import InconsistencyError, is_prime
 
 __all__ = [
@@ -110,15 +110,9 @@ def reduce_single_field(cx: FilteredComplex, q: int) -> tuple[FieldDiagram, int]
 
 
 def save_field_diagram(diagram: FieldDiagram, cx: FilteredComplex, path) -> None:
-    """Write `dim birth_index death_index birth_value death_value q` lines."""
-    rows = sorted(
-        zip(diagram.pairs, diagram.dims), key=lambda e: (e[1], e[0][0])
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        for (birth, death), dim in rows:
-            dstr = str(death) if death is not None else "inf"
-            dval = format_value(cx.value(death)) if death is not None else "inf"
-            fh.write(
-                f"{dim} {birth} {dstr} {format_value(cx.value(birth))} {dval}"
-                f" {diagram.prime}\n"
-            )
+    """Write `dim birth death birth_value death_value q` lines by
+    save_diagram, an essential with `inf` for its death."""
+    births = np.array([birth for birth, _ in diagram.pairs], dtype=np.int64)
+    deaths = np.array([death or 0 for _, death in diagram.pairs], dtype=np.int64)
+    ids = np.zeros(len(births), dtype=np.int64)
+    save_diagram(path, births, deaths, ids, (str(diagram.prime),), cx._dims, cx._values)

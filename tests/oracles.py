@@ -1,6 +1,8 @@
 """Independent oracles for the tests: dense rank computation over prime
 fields, Betti numbers of filtration prefixes via rank-nullity, small
-random complexes, and fixed triangulations with known homology.
+random complexes, fixed triangulations with known homology, the CRT
+conversions between Z/QZ and its fields, and the per-row writers and
+loaders that the library's array code replaced.
 
 Everything here deliberately avoids the library's sparse reduction so
 that test comparisons cross two unrelated code paths.
@@ -10,7 +12,8 @@ import math
 import random
 from itertools import combinations
 
-from mfph.complexes import FilteredComplex, _Fault, data_lines, finite_float
+from mfph.complexes import FilteredComplex, _Fault, data_lines, finite_float, format_value
+from mfph.crt import _check_mask
 from mfph.generators import linial_meshulam, minimal_projective_plane, random_flag
 
 
@@ -316,3 +319,46 @@ def reference_load_filtration(path):
         return FilteredComplex._from_flat(flat, dims, values)
     except _Fault as exc:
         raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from None
+
+
+def crt_combine(basis, residues):
+    """The unique x in [0, Q) with x = u_s mod q_s for every field s."""
+    us = list(residues)
+    if len(us) != basis.r:
+        raise ValueError(f"expected {basis.r} residues, got {len(us)}")
+    for u, q in zip(us, basis.primes):
+        if not 0 <= u < q:
+            raise ValueError(f"residue {u} out of range for prime {q}")
+    return sum(u * partial_identity(basis, q) for u, q in zip(us, basis.primes)) % basis.product
+
+
+def crt_project(basis, x, s):
+    """Residue of x in field s (1-based)."""
+    if not 1 <= s <= basis.r:
+        raise ValueError(f"field index {s} out of range 1..{basis.r}")
+    return x % basis.primes[s - 1]
+
+
+def partial_identity(basis, mask):
+    """L_S: the element that is 1 mod q_s for s in S, 0 mod the rest.
+
+    With c = Q / Q_S, it is c * (c^-1 mod Q_S): c vanishes on the fields
+    outside S, and the product is below c * Q_S = Q.
+    """
+    _check_mask(basis, mask)
+    c = basis.product // mask
+    return c * pow(c, -1, mask)
+
+
+def reference_save_field_diagram(diagram, cx, path):
+    """The single-field diagram writer as it was: rows sorted by (dim,
+    birth) in Python, each value formatted per row."""
+    rows = sorted(zip(diagram.pairs, diagram.dims), key=lambda e: (e[1], e[0][0]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for (birth, death), dim in rows:
+            dstr = str(death) if death is not None else "inf"
+            dval = format_value(cx.value(death)) if death is not None else "inf"
+            fh.write(
+                f"{dim} {birth} {dstr} {format_value(cx.value(birth))} {dval}"
+                f" {diagram.prime}\n"
+            )

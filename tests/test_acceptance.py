@@ -14,10 +14,7 @@ import pytest
 from mfph.bench import lambda_bound, run_bench, torsion_window, five_number
 from mfph.crt import (
     PrimeBasis,
-    crt_combine,
-    crt_project,
     first_primes,
-    partial_identity,
     partial_inverse,
     word_length,
 )
@@ -32,7 +29,14 @@ from mfph.multifield import reduce_multifield
 from mfph.single_field import reduce_single_field
 from mfph.torsion import annotate_diagram, betti_table, group_string, infer_torsion
 
-from oracles import axpy_upper_bound, betti_prefix, filled_triangle
+from oracles import (
+    axpy_upper_bound,
+    betti_prefix,
+    crt_combine,
+    crt_project,
+    filled_triangle,
+    partial_identity,
+)
 
 CORPUS_PRIMES = (2, 3, 5, 7, 11)
 

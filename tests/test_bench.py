@@ -43,6 +43,23 @@ def test_lambda_bound_dominates_actual_word_length():
         assert word_length(q_product) <= lambda_bound(r)
 
 
+def test_lambda_bound_is_reported_for_the_first_r_primes_only():
+    # two primes near 2^80 make a Q of 3 words; the bound for r = 2, one
+    # word, holds for the first two primes and not for these
+    cx = filled_triangle()
+    big, _ = run_bench(cx, [1208925819614629174706111, 1208925819614629174706083], mode="modular", repeats=1)
+    assert big.lambda_q == 3 and big.lambda_q_bound is None
+    assert "lambda(Q)=3 words at w=64" in bench_text(big)
+    assert bench_csv_rows([big])[1].split(",")[2:4] == ["3", ""]
+    gap, _ = run_bench(cx, [2, 5], mode="modular", repeats=1)
+    assert gap.lambda_q_bound is None
+    # the first r primes, in any order, keep it
+    first, _ = run_bench(cx, [5, 2, 3], mode="modular", repeats=1)
+    assert first.lambda_q_bound == lambda_bound(3) == 1
+    assert "lambda(Q)=1 words (bound 1) at w=64" in bench_text(first)
+    assert bench_csv_rows([first])[1].split(",")[2:4] == ["1", "1"]
+
+
 def test_run_bench_both_mode():
     cx = minimal_projective_plane()
     report, mf = run_bench(cx, [2, 3], mode="both", repeats=1)

@@ -504,6 +504,12 @@ MALFORMED = [
     # a points file whose name holds a line break: written into the
     # header, it would end the comment and add a simplex to the file
     ("pts\n0 99 0\n#", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2"], "holds a line break"),
+    # --save-points and --n act on sampled points only: with a file they
+    # would be ignored, and no points file written
+    ("save.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2", "--save-points", "p.pts"], "--save-points requires --shape"),
+    ("save.dist", "1\n", ["rips", "--distances"], ["--rho", "2", "--save-points", "p.pts"], "--save-points requires --shape"),
+    ("n.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2", "--n", "5"], "--n requires --shape"),
+    ("n.dist", "1\n", ["rips", "--distances"], ["--rho", "2", "--n", "3"], "--n requires --shape"),
     # a strong pseudoprime to every Miller-Rabin witness the test uses
     (
         "bigprime.flt",

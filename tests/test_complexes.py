@@ -12,12 +12,13 @@ from mfph.complexes import (
     load_filtration,
     save_filtration,
 )
-from mfph.crt import PrimeBasis, crt_project
+from mfph.crt import PrimeBasis
 from mfph.generators import linial_meshulam, minimal_projective_plane, rips_filtration, sample_shape
 
 from oracles import (
     apparent_columns,
     boundary_facets,
+    crt_project,
     filled_triangle,
     klein_grid,
     random_small_complex,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import mfph.multifield
-from mfph.complexes import FilteredComplex, format_value
+from mfph.complexes import FilteredComplex, format_value, load_filtration
 from mfph.crt import InconsistencyError, PrimeBasis, mask_primes
 from mfph.multifield import ReduceStats, reduce_multifield, save_multifield_diagram
-from mfph.single_field import reduce_single_field
+from mfph.single_field import reduce_single_field, save_field_diagram
 from mfph.generators import linial_meshulam, minimal_projective_plane, rips_filtration, sample_shape
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     filled_triangle,
     klein_grid,
     random_small_complex,
+    reference_save_field_diagram,
 )
 from test_acceptance import CORPUS_PRIMES, _small_flag, _small_ym
 
@@ -184,13 +185,24 @@ def _reference_save(mf, path):
 
 def test_save_multifield_diagram_matches_per_row_writer(tmp_path):
     # r = 100, with partial masks (RP^2 coned off, Y(n, m) with torsion)
-    # and full ones; the writer names each distinct mask once
+    # and full ones; the writer names each distinct mask once.  Every
+    # field's single-field diagram is written too, against the per-row
+    # single-field writer.
     basis = PrimeBasis.first(100)
     rng = random.Random(2026)
     complexes = [coned_projective_plane(), minimal_projective_plane(), filled_triangle()]
     complexes += [_small_ym(rng) for _ in range(6)]
     # values that are not integers, read from the complex's array
     complexes.append(rips_filtration(sample_shape("cube-uniform", 25, seed=3), 0.5, 2))
+    # a loaded file: -0.0 and 0.0 are one value written 0, 1e-07 is
+    # written by repr, and a vertex born after a 1-cycle puts dimension
+    # order and birth order apart
+    path = tmp_path / "zeros.flt"
+    path.write_text(
+        "0 0 -0.0\n0 1 0.0\n1 0 1 -0.0\n0 2 1e-07\n1 1 2 1e-07\n"
+        "1 0 2 2.5\n0 3 2.75\n2 0 1 2 3\n"
+    )
+    complexes.append(load_filtration(path))
     partial = 0
     for i, cx in enumerate(complexes):
         mf, _ = reduce_multifield(cx, basis)
@@ -199,7 +211,17 @@ def test_save_multifield_diagram_matches_per_row_writer(tmp_path):
         save_multifield_diagram(mf, got)
         _reference_save(mf, want)
         assert got.read_bytes() == want.read_bytes()
+        for q in basis.primes:
+            diagram, _ = reduce_single_field(cx, q)
+            save_field_diagram(diagram, cx, got)
+            reference_save_field_diagram(diagram, cx, want)
+            assert got.read_bytes() == want.read_bytes()
     assert partial >= 2
+    # the last file written: the loaded complex over the 100th prime
+    assert want.read_text() == (
+        "0 1 inf 0 inf 541\n0 2 3 0 0 541\n0 4 5 1e-07 1e-07 541\n"
+        "0 7 inf 2.75 inf 541\n1 6 8 2.5 3 541\n"
+    )
 
 
 def test_homology_and_cohomology_agree_on_corpus():

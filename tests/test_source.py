@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import mfph
@@ -24,18 +25,47 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _modules():
+    names = ["mfph"] + [f"mfph.{info.name}" for info in pkgutil.iter_modules(mfph.__path__)]
+    return [importlib.import_module(name) for name in names]
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition is deleted fails only
     # under `import *`; check every module's list directly
-    names = ["mfph"] + [f"mfph.{info.name}" for info in pkgutil.iter_modules(mfph.__path__)]
     checked = 0
-    for name in names:
-        module = importlib.import_module(name)
+    for module in _modules():
         exported = getattr(module, "__all__", ())
         missing = [attr for attr in exported if not hasattr(module, attr)]
-        assert missing == [], f"{name}.__all__ names {missing}"
+        assert missing == [], f"{module.__name__}.__all__ names {missing}"
         checked += bool(exported)
     assert checked >= 5
+
+
+def unread_exports(root):
+    """The exported names of the package that no code under src/mfph or
+    perfbench reads (a loaded Name or Attribute; an import is not a
+    read) and README.md does not name, as `module.name`."""
+    read = set()
+    for path in sorted((root / "src" / "mfph").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    read |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    return [
+        f"{module.__name__.removeprefix('mfph.')}.{attr}"
+        for module in _modules()
+        for attr in getattr(module, "__all__", ())
+        if attr not in read
+    ]
+
+
+def test_every_exported_name_is_read():
+    # API that no code path runs and the README does not offer belongs in
+    # the tests that read it (tests/oracles.py), not in the package
+    assert unread_exports(Path(__file__).resolve().parents[1]) == []
 
 
 def test_benchmark_patch_targets_exist():
