@@ -17,8 +17,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import FilteredComplex
 from .crt import InconsistencyError, PrimeBasis, first_primes, word_length
 from .multifield import MultiFieldDiagram, reduce_multifield
@@ -26,16 +24,11 @@ from .single_field import FieldDiagram, reduce_single_field
 
 __all__ = [
     "BenchReport",
-    "WindowResult",
     "bench_csv_rows",
     "bench_text",
     "check_projections",
-    "five_number",
     "lambda_bound",
     "run_bench",
-    "torsion_window",
-    "window_csv_rows",
-    "window_text",
 ]
 
 
@@ -61,14 +54,12 @@ class BenchReport:
     max_dim: int
     t_r: float
     t_bf: float | None
-    t_bf_each: tuple[float, ...] | None
     ratio: float | None
     p_r: int
     p_f: tuple[int, ...]
     axpy_count: int
     partial_inverse_count: int
     cache_hits: int
-    single_field_ops: tuple[int, ...] | None
     lambda_q: int
     lambda_q_bound: int | None  # None unless the primes are the first r
 
@@ -131,26 +122,16 @@ def run_bench(
     if mf.p_r < max(p_f):
         raise InconsistencyError("P_r fell below a per-field diagram size")
 
-    t_bf_each = None
     t_bf = None
     ratio = None
-    single_ops = None
     if mode == "both":
         singles = {}
-        each = []
-        ops = []
+        t_bf = 0.0
         for q in basis.primes:
-            t_q, (diagram, op_count) = _median_time(
-                lambda q=q: reduce_single_field(cx, q), repeats
-            )
-            singles[q] = diagram
-            each.append(t_q)
-            ops.append(op_count)
+            t_q, (singles[q], _ops) = _median_time(lambda q=q: reduce_single_field(cx, q), repeats)
+            t_bf += t_q
         check_projections(mf.projections(), singles)
-        t_bf_each = tuple(each)
-        t_bf = sum(each)
         ratio = t_bf / t_r if t_r > 0 else float("inf")
-        single_ops = tuple(ops)
 
     first = sorted(basis.primes) == list(first_primes(basis.r))  # where lambda_bound holds
     report = BenchReport(
@@ -160,14 +141,12 @@ def run_bench(
         max_dim=cx.max_dim,
         t_r=t_r,
         t_bf=t_bf,
-        t_bf_each=t_bf_each,
         ratio=ratio,
         p_r=mf.p_r,
         p_f=p_f,
         axpy_count=stats.axpy_count,
         partial_inverse_count=stats.partial_inverse_count,
         cache_hits=stats.cache_hits,
-        single_field_ops=single_ops,
         lambda_q=word_length(basis.product),
         lambda_q_bound=lambda_bound(basis.r) if first else None,
     )
@@ -214,134 +193,3 @@ def bench_csv_rows(reports) -> list[str]:
             f"{rep.axpy_count},{rep.partial_inverse_count},{rep.cache_hits}"
         )
     return rows
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """Normalized torsion windows over Linial-Meshulam trials.
-
-    For each trial, torsion is alive at triangle count m when some
-    birth index carries pairings with different deaths across fields;
-    the union of those divergence intervals is the trial's window,
-    reported by its edges normalized as n * m / C(n,3) - c_star.
-    Trials without divergence contribute to empty_trials only.
-    """
-
-    n: int
-    m_max: int
-    r: int
-    trials: int
-    c_star: float
-    seed: int
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    empty_trials: int
-
-
-def five_number(xs) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max) with inclusive quartiles."""
-    xs = sorted(xs)
-    if not xs:
-        raise ValueError("no data")
-    if len(xs) == 1:
-        x = xs[0]
-        return (x, x, x, x, x)
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return (xs[0], q1, med, q3, xs[-1])
-
-
-def torsion_window(
-    n: int,
-    m_max: int | None,
-    r: int,
-    trials: int,
-    c_star: float,
-    seed: int = 0,
-) -> WindowResult:
-    """Locate torsion windows in random 2-complexes Y(n, m <= m_max).
-
-    Each trial draws one Linial-Meshulam filtration and reduces it over
-    the first r prime fields.  A birth whose pairings die at different
-    times across fields (an essential counting as death past m_max)
-    witnesses torsion precisely for m from its earliest death value to
-    one step before its latest; the window is the union's hull.
-    """
-    import random
-
-    from .generators import linial_meshulam
-
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not math.isfinite(c_star):
-        raise ValueError(f"c_star must be finite, got {c_star}")
-    if m_max is None:
-        m_max = math.comb(n, 3)
-    if not 1 <= m_max <= math.comb(n, 3):
-        raise ValueError(f"m_max must be in [1, C(n,3)] = [1, {math.comb(n, 3)}]")
-    rng = random.Random(seed)
-    basis = PrimeBasis.first(r)
-    scale = n / math.comb(n, 3)
-    lower: list[float] = []
-    upper: list[float] = []
-    empty = 0
-    for _ in range(trials):
-        cx = linial_meshulam(n, m_max, rng.randrange(2**63))
-        mf, _stats = reduce_multifield(cx, basis)
-        # a birth index with more than one entry dies at different values
-        # in different fields, an essential at m_max + 1
-        torsion = np.bincount(mf.births)[mf.births] > 1
-        if not torsion.any():
-            empty += 1
-            continue
-        died = np.where(mf.deaths > 0, mf.index_values[mf.deaths - 1], m_max + 1.0)[torsion]
-        lower.append(scale * float(died.min()) - c_star)
-        upper.append(scale * min(float(died.max()) - 1.0, float(m_max)) - c_star)
-    return WindowResult(
-        n=n,
-        m_max=m_max,
-        r=r,
-        trials=trials,
-        c_star=c_star,
-        seed=seed,
-        lower=tuple(lower),
-        upper=tuple(upper),
-        empty_trials=empty,
-    )
-
-
-WINDOW_CSV_HEADER = "n,m_max,r,trials,c_star,edge,min,q1,median,q3,max"
-
-
-def window_csv_rows(results) -> list[str]:
-    """Five-number summary per window edge, one lower and one upper row per n."""
-    rows = [WINDOW_CSV_HEADER]
-    for res in results:
-        for name, data in (("lower", res.lower), ("upper", res.upper)):
-            if not data:
-                continue
-            stats = ",".join(f"{x:.6f}" for x in five_number(data))
-            rows.append(
-                f"{res.n},{res.m_max},{res.r},{res.trials},{res.c_star},"
-                f"{name},{stats}"
-            )
-    return rows
-
-
-def window_text(res: WindowResult) -> str:
-    lines = [
-        f"Y(n={res.n}, m<={res.m_max}) over first {res.r} primes,"
-        f" {res.trials} trials, seed {res.seed}",
-        f"normalized edge = n*m/C(n,3) - c_star with c_star = {res.c_star}",
-        f"trials with torsion: {res.trials - res.empty_trials},"
-        f" without: {res.empty_trials}",
-    ]
-    for name, data in (("lower", res.lower), ("upper", res.upper)):
-        if data:
-            mn, q1, med, q3, mx = five_number(data)
-            lines.append(
-                f"{name} edge: min {mn:.4f}, q1 {q1:.4f}, median {med:.4f},"
-                f" q3 {q3:.4f}, max {mx:.4f}"
-            )
-    return "\n".join(lines)

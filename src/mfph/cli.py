@@ -14,15 +14,7 @@ import argparse
 import re
 import sys
 
-from .bench import (
-    bench_csv_rows,
-    bench_text,
-    check_projections,
-    run_bench,
-    torsion_window,
-    window_csv_rows,
-    window_text,
-)
+from .bench import bench_csv_rows, bench_text, check_projections, run_bench
 from .complexes import format_value, load_filtration, save_filtration
 from .crt import InconsistencyError, PrimeBasis, first_primes
 from .generators import (
@@ -39,7 +31,16 @@ from .generators import (
 )
 from .multifield import reduce_multifield, save_multifield_diagram
 from .single_field import reduce_single_field, save_field_diagram
-from .torsion import annotate_diagram, betti_table, infer_torsion, torsion_csv_rows, torsion_report
+from .torsion import (
+    annotate_diagram,
+    betti_table,
+    infer_torsion,
+    torsion_csv_rows,
+    torsion_report,
+    torsion_window,
+    window_csv_rows,
+    window_text,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,8 +112,9 @@ def _cmd_rips(args) -> int:
     if args.shape is not None:
         if args.n is None:
             raise ValueError("--shape requires --n")
-        points = sample_shape(args.shape, args.n, args.seed)
-        source = f"shape={args.shape} n={args.n} seed={args.seed} prng={POINT_PRNG}"
+        seed = 0 if args.seed is None else args.seed
+        points = sample_shape(args.shape, args.n, seed)
+        source = f"shape={args.shape} n={args.n} seed={seed} prng={POINT_PRNG}"
         if args.save_points:
             save_points(points, args.save_points, header=[source])
         cx = rips_filtration(points, args.rho, args.max_dim)
@@ -120,6 +122,8 @@ def _cmd_rips(args) -> int:
         raise ValueError("--save-points requires --shape")
     elif args.n is not None:
         raise ValueError("--n requires --shape")
+    elif args.seed is not None:
+        raise ValueError("--seed requires --shape")
     elif args.points is not None:
         points = load_points(args.points)
         source = f"points={args.points}"
@@ -266,7 +270,7 @@ def build_parser() -> _Parser:
     src.add_argument("--distances", help="lower-triangular distance matrix file")
     src.add_argument("--shape", choices=SHAPES, help="sample a built-in shape")
     p.add_argument("--n", type=int, help="number of sampled points (with --shape)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sampling seed (with --shape; default 0)")
     p.add_argument("--rho", type=float, required=True, help="edge threshold")
     p.add_argument("--max-dim", type=int, required=True)
     p.add_argument("--save-points", help="also write the sampled points here")

@@ -67,6 +67,7 @@ __all__ = [
     "Simplex",
     "SparseColumn",
     "column_axpy",
+    "comment_lines",
     "data_lines",
     "finite_float",
     "format_value",
@@ -423,6 +424,17 @@ def format_value(v: float) -> str:
     return repr(int(v)) if v.is_integer() else repr(v)
 
 
+def comment_lines(header) -> str:
+    """The header lines of a data file as '#' comments.  A line holding a
+    line break raises ValueError: it would end its comment and add data
+    lines to the file."""
+    header = list(header)
+    for line in header:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"header line {line!r} holds a line break")
+    return "".join(f"# {line}\n" for line in header)
+
+
 def save_diagram(path, births, deaths, ids, labels, index_dims, index_values) -> None:
     """Write one `dim birth death birth_value death_value label` line per
     diagram entry, by (dim, birth, death).  Entry e pairs births[e] with
@@ -531,14 +543,10 @@ def save_filtration(cx: FilteredComplex, path, header=()) -> None:
     value by format_value.  Each distinct value is formatted once (-0.0
     and 0.0 are one value, and both read 0), and the lines in one
     %-format over the whole file, whose fields are gathered from the
-    complex's arrays.  A header line holding a line break raises
-    ValueError before the file is opened: it would end the comment and
-    add lines to the filtration.
+    complex's arrays.  The header is checked by comment_lines before
+    the file is opened.
     """
-    header = list(header)
-    for line in header:
-        if "\n" in line or "\r" in line:
-            raise ValueError(f"header line {line!r} holds a line break")
+    comments = comment_lines(header)
     uniq, which = np.unique(cx._values, return_inverse=True)
     text = np.array([format_value(v) for v in uniq.tolist()], dtype=object)
     dims = cx._dims
@@ -550,6 +558,5 @@ def save_filtration(cx: FilteredComplex, path, header=()) -> None:
         fields[ends[at, None] - (d + 2) + np.arange(d + 1)] = rows[cx._pos[at]]
     fmt = [f"{d} " + "%d " * (d + 1) + "%s\n" for d in range(cx.max_dim + 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
+        fh.write(comments)
         fh.write("".join(map(fmt.__getitem__, dims.tolist())) % tuple(fields.tolist()))

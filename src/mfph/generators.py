@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from . import complexes
-from .complexes import FilteredComplex, data_lines, finite_float
+from .complexes import FilteredComplex, comment_lines, data_lines, finite_float
 
 __all__ = [
     "COMPLEX_PRNG",
@@ -271,10 +271,11 @@ def minimal_projective_plane() -> FilteredComplex:
 
 
 def save_points(points: np.ndarray, path, header=()) -> None:
-    """One point per line, whitespace-separated coordinates."""
+    """One point per line, whitespace-separated coordinates, after the
+    header checked by comment_lines."""
+    comments = comment_lines(header)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
+        fh.write(comments)
         for row in np.asarray(points, dtype=float):
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 

@@ -9,27 +9,39 @@ Reading beta_d(Z) off a reference field whose prime exceeds every
 torsion prime turns this into a recurrence for the t(d, q), starting
 from t(0, q) = 0 since 0-homology is free.  Exponents k are not
 recoverable from field Betti numbers and are rendered as q^*.
+
+torsion_window reads torsion across random 2-complexes Y(n, m), as in
+Kahle, Lutz, Newman and Parsons (Experimental Mathematics 2020).
 """
 
 from __future__ import annotations
 
+import random
+import statistics
 from dataclasses import dataclass
-from math import inf, lcm
+from math import comb, inf, isfinite, lcm
 
 import numpy as np
 
 from .crt import PrimeBasis, mask_primes
-from .multifield import MultiFieldDiagram
+from .generators import linial_meshulam
+from .multifield import MultiFieldDiagram, reduce_multifield
 
 __all__ = [
     "BettiTable",
     "IntegralProfile",
+    "WINDOW_CSV_HEADER",
+    "WindowResult",
     "annotate_diagram",
     "betti_table",
+    "five_number",
     "group_string",
     "infer_torsion",
     "torsion_csv_rows",
     "torsion_report",
+    "torsion_window",
+    "window_csv_rows",
+    "window_text",
 ]
 
 
@@ -206,3 +218,130 @@ def annotate_diagram(mf: MultiFieldDiagram) -> list[tuple[int, float, float, tup
     return list(
         zip(dims[lead].tolist(), bvals[lead].tolist(), dvals[lead].tolist(), map(names.__getitem__, located))
     )
+
+
+@dataclass(frozen=True)
+class WindowResult:
+    """Normalized torsion windows over Linial-Meshulam trials.
+
+    For each trial, torsion is alive at triangle count m when some
+    birth index carries pairings with different deaths across fields;
+    the union of those divergence intervals is the trial's window,
+    reported by its edges normalized as n * m / C(n,3) - c_star.
+    Trials without divergence contribute to empty_trials only.
+    """
+
+    n: int
+    m_max: int
+    r: int
+    trials: int
+    c_star: float
+    seed: int
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    empty_trials: int
+
+
+def five_number(xs) -> tuple[float, float, float, float, float]:
+    """(min, q1, median, q3, max) with inclusive quartiles."""
+    xs = sorted(xs)
+    if not xs:
+        raise ValueError("no data")
+    if len(xs) == 1:
+        x = xs[0]
+        return (x, x, x, x, x)
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return (xs[0], q1, med, q3, xs[-1])
+
+
+def torsion_window(
+    n: int,
+    m_max: int | None,
+    r: int,
+    trials: int,
+    c_star: float,
+    seed: int = 0,
+) -> WindowResult:
+    """Locate torsion windows in random 2-complexes Y(n, m <= m_max).
+
+    Each trial draws one Linial-Meshulam filtration and reduces it over
+    the first r prime fields.  A birth whose pairings die at different
+    times across fields (an essential counting as death past m_max)
+    witnesses torsion precisely for m from its earliest death value to
+    one step before its latest; the window is the union's hull.
+    """
+    if n < 4:
+        raise ValueError("n must be >= 4")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not isfinite(c_star):
+        raise ValueError(f"c_star must be finite, got {c_star}")
+    if m_max is None:
+        m_max = comb(n, 3)
+    if not 1 <= m_max <= comb(n, 3):
+        raise ValueError(f"m_max must be in [1, C(n,3)] = [1, {comb(n, 3)}]")
+    rng = random.Random(seed)
+    basis = PrimeBasis.first(r)
+    scale = n / comb(n, 3)
+    lower: list[float] = []
+    upper: list[float] = []
+    empty = 0
+    for _ in range(trials):
+        cx = linial_meshulam(n, m_max, rng.randrange(2**63))
+        mf, _stats = reduce_multifield(cx, basis)
+        # a birth index with more than one entry dies at different values
+        # in different fields, an essential at m_max + 1
+        torsion = np.bincount(mf.births)[mf.births] > 1
+        if not torsion.any():
+            empty += 1
+            continue
+        died = np.where(mf.deaths > 0, mf.index_values[mf.deaths - 1], m_max + 1.0)[torsion]
+        lower.append(scale * float(died.min()) - c_star)
+        upper.append(scale * min(float(died.max()) - 1.0, float(m_max)) - c_star)
+    return WindowResult(
+        n=n,
+        m_max=m_max,
+        r=r,
+        trials=trials,
+        c_star=c_star,
+        seed=seed,
+        lower=tuple(lower),
+        upper=tuple(upper),
+        empty_trials=empty,
+    )
+
+
+WINDOW_CSV_HEADER = "n,m_max,r,trials,c_star,edge,min,q1,median,q3,max"
+
+
+def window_csv_rows(results) -> list[str]:
+    """Five-number summary per window edge, one lower and one upper row per n."""
+    rows = [WINDOW_CSV_HEADER]
+    for res in results:
+        for name, data in (("lower", res.lower), ("upper", res.upper)):
+            if not data:
+                continue
+            stats = ",".join(f"{x:.6f}" for x in five_number(data))
+            rows.append(
+                f"{res.n},{res.m_max},{res.r},{res.trials},{res.c_star},"
+                f"{name},{stats}"
+            )
+    return rows
+
+
+def window_text(res: WindowResult) -> str:
+    lines = [
+        f"Y(n={res.n}, m<={res.m_max}) over first {res.r} primes,"
+        f" {res.trials} trials, seed {res.seed}",
+        f"normalized edge = n*m/C(n,3) - c_star with c_star = {res.c_star}",
+        f"trials with torsion: {res.trials - res.empty_trials},"
+        f" without: {res.empty_trials}",
+    ]
+    for name, data in (("lower", res.lower), ("upper", res.upper)):
+        if data:
+            mn, q1, med, q3, mx = five_number(data)
+            lines.append(
+                f"{name} edge: min {mn:.4f}, q1 {q1:.4f}, median {med:.4f},"
+                f" q3 {q3:.4f}, max {mx:.4f}"
+            )
+    return "\n".join(lines)

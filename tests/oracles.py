@@ -1,8 +1,9 @@
 """Independent oracles for the tests: dense rank computation over prime
 fields, Betti numbers of filtration prefixes via rank-nullity, small
-random complexes, fixed triangulations with known homology, the CRT
-conversions between Z/QZ and its fields, and the per-row writers and
-loaders that the library's array code replaced.
+random complexes, fixed triangulations with known homology (Moore
+spaces M(Z/q, 1) among them), the CRT conversions between Z/QZ and its
+fields, and the per-row writers and loaders that the library's array
+code replaced.
 
 Everything here deliberately avoids the library's sparse reduction so
 that test comparisons cross two unrelated code paths.
@@ -236,6 +237,54 @@ def coned_projective_plane():
     items.append(((7,), 1.0))
     items.extend((face + (7,), 1.0) for face in faces)
     return FilteredComplex(items)
+
+
+def _closure(cells):
+    """{face: value} over every face of the (simplex, value) pairs, each
+    face at the least value of a simplex that holds it."""
+    values = {}
+    for simplex, v in cells:
+        simplex = tuple(sorted(simplex))
+        for k in range(1, len(simplex) + 1):
+            for face in combinations(simplex, k):
+                values[face] = min(v, values.get(face, v))
+    return values
+
+
+def _moore_cells(q, circle, first, value):
+    """M(Z/q, 1) as (simplex, value) pairs: the circle on the three vertex
+    ids `circle` at value 0; at `value`, an annulus of 6q triangles whose
+    outer ring wraps the circle q times, and the cone from one apex over
+    its inner ring of 3q vertices.  The inner ring is numbered from
+    `first`, and the apex follows it."""
+    ring = 3 * q
+    apex = first + ring
+    cells = [((circle[k], circle[(k + 1) % 3]), 0.0) for k in range(3)]
+    for k in range(ring):
+        c0, c1 = circle[k % 3], circle[(k + 1) % 3]
+        i0, i1 = first + k, first + (k + 1) % ring
+        cells += [((c0, c1, i0), value), ((c1, i0, i1), value), ((i0, i1, apex), value)]
+    return cells
+
+
+def moore_space(q, cone=False):
+    """The Moore space M(Z/q, 1) in 24q + 7 simplices: the mapping cone
+    of the degree-q map on a circle.  Over Z, H_1 is Z on [0, 1) and Z/q
+    from 1 on; with cone=True, a cone over everything at value 2 ends
+    the Z/q there."""
+    cells = _moore_cells(q, (0, 1, 2), 3, 1.0)
+    if cone:
+        apex = 3 * q + 4
+        cells += [(face + (apex,), 2.0) for face in _closure(cells)]
+    return FilteredComplex(sorted(_closure(cells).items()))
+
+
+def moore_wedge():
+    """M(Z/3, 1) with its disk at value 1 and M(Z/5, 1) with its disk at
+    value 2, wedged at vertex 0, both circles at value 0 (205 simplices).
+    Over Z, H_1 is Z^2 on [0, 1), Z + Z/3 on [1, 2) and Z/3 + Z/5 from 2."""
+    cells = _moore_cells(3, (0, 1, 2), 3, 1.0) + _moore_cells(5, (0, 13, 14), 15, 2.0)
+    return FilteredComplex(sorted(_closure(cells).items()))
 
 
 def klein_grid(a=4, b=4):

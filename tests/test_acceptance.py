@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from mfph.bench import lambda_bound, run_bench, torsion_window, five_number
+from mfph.bench import lambda_bound, run_bench
 from mfph.crt import (
     PrimeBasis,
     first_primes,
@@ -27,7 +27,14 @@ from mfph.generators import (
 )
 from mfph.multifield import reduce_multifield
 from mfph.single_field import reduce_single_field
-from mfph.torsion import annotate_diagram, betti_table, group_string, infer_torsion
+from mfph.torsion import (
+    annotate_diagram,
+    betti_table,
+    five_number,
+    group_string,
+    infer_torsion,
+    torsion_window,
+)
 
 from oracles import (
     axpy_upper_bound,

@@ -9,7 +9,6 @@ import pytest
 
 import mfph.cli as cli
 import mfph.multifield
-from mfph.bench import torsion_window
 from mfph.crt import InconsistencyError, PrimeBasis
 from mfph.complexes import FilteredComplex, load_filtration, save_filtration
 from mfph.generators import (
@@ -21,7 +20,7 @@ from mfph.generators import (
 )
 from mfph.multifield import reduce_multifield, save_multifield_diagram
 from mfph.single_field import reduce_single_field
-from mfph.torsion import annotate_diagram, betti_table
+from mfph.torsion import annotate_diagram, betti_table, torsion_window
 
 from oracles import filled_triangle
 
@@ -504,12 +503,14 @@ MALFORMED = [
     # a points file whose name holds a line break: written into the
     # header, it would end the comment and add a simplex to the file
     ("pts\n0 99 0\n#", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2"], "holds a line break"),
-    # --save-points and --n act on sampled points only: with a file they
-    # would be ignored, and no points file written
+    # --save-points, --n and --seed act on sampled points only: with a
+    # file they would be ignored, and no points file written
     ("save.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2", "--save-points", "p.pts"], "--save-points requires --shape"),
     ("save.dist", "1\n", ["rips", "--distances"], ["--rho", "2", "--save-points", "p.pts"], "--save-points requires --shape"),
     ("n.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2", "--n", "5"], "--n requires --shape"),
     ("n.dist", "1\n", ["rips", "--distances"], ["--rho", "2", "--n", "3"], "--n requires --shape"),
+    ("seed.pts", "0 0\n1 0\n", ["rips", "--points"], ["--rho", "2", "--seed", "5"], "--seed requires --shape"),
+    ("seed.dist", "1\n", ["rips", "--distances"], ["--rho", "2", "--seed", "5"], "--seed requires --shape"),
     # a strong pseudoprime to every Miller-Rabin witness the test uses
     (
         "bigprime.flt",

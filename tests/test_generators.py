@@ -353,6 +353,15 @@ def test_points_roundtrip(tmp_path):
     assert np.array_equal(load_points(path), pts)
 
 
+@pytest.mark.parametrize("line", ["note\n3 4", "carriage\rreturn", "\n"])
+def test_save_points_rejects_a_header_line_with_a_line_break(tmp_path, line):
+    # written as is, the break would end the comment and add a point
+    path = tmp_path / "pts.txt"
+    with pytest.raises(ValueError, match="holds a line break"):
+        save_points(np.zeros((1, 2)), path, header=["fine", line])
+    assert not path.exists()  # refused before the file is opened
+
+
 def test_load_points_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 2.0\n1.0 x\n")

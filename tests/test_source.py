@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -42,18 +43,27 @@ def test_every_exported_name_resolves():
     assert checked >= 5
 
 
-def unread_exports(root):
-    """The exported names of the package that no code under src/mfph or
-    perfbench reads (a loaded Name or Attribute; an import is not a
-    read) and README.md does not name, as `module.name`."""
-    read = set()
+def _reads(root):
+    """What code under src/mfph and perfbench reads, as the ids of its
+    loaded Names and the attributes of its loaded Attributes (an import
+    is not a read), and the words of README.md."""
+    names, attrs = set(), set()
     for path in sorted((root / "src" / "mfph").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    read |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+                attrs.add(node.attr)
+    words = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    return names, attrs, words
+
+
+def unread_exports(root):
+    """The exported names of the package that no code under src/mfph or
+    perfbench reads (a loaded Name or Attribute) and README.md does not
+    name, as `module.name`."""
+    names, attrs, words = _reads(root)
+    read = names | attrs | words
     return [
         f"{module.__name__.removeprefix('mfph.')}.{attr}"
         for module in _modules()
@@ -62,10 +72,31 @@ def unread_exports(root):
     ]
 
 
+def unread_fields(root):
+    """The fields of the package's dataclasses that no code under
+    src/mfph or perfbench reads as an attribute and README.md does not
+    name, as `Class.field`."""
+    _names, attrs, words = _reads(root)
+    read = attrs | words
+    return sorted(
+        f"{cls.__name__}.{field.name}"
+        for module in _modules()
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    )
+
+
 def test_every_exported_name_is_read():
     # API that no code path runs and the README does not offer belongs in
     # the tests that read it (tests/oracles.py), not in the package
     assert unread_exports(Path(__file__).resolve().parents[1]) == []
+
+
+def test_every_dataclass_field_is_read():
+    # state that no printer, writer or benchmark reads is kept for nothing
+    assert unread_fields(Path(__file__).resolve().parents[1]) == []
 
 
 def test_benchmark_patch_targets_exist():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mfph.complexes import FilteredComplex
-from mfph.crt import PrimeBasis, mask_primes
+from mfph.crt import PrimeBasis, first_primes, mask_primes
 from mfph.generators import minimal_projective_plane
 from mfph.multifield import reduce_multifield
 from mfph.torsion import (
@@ -20,7 +20,7 @@ from mfph.torsion import (
     torsion_report,
 )
 
-from oracles import betti_at, filled_triangle, klein_grid, random_small_complex
+from oracles import betti_at, filled_triangle, klein_grid, moore_space, moore_wedge, random_small_complex
 
 
 def rp2_profile(primes, reference=None):
@@ -56,6 +56,39 @@ def test_klein_grid_torsion():
     assert group_string(profile, 1) == "Z + Z/2^*Z"
     assert group_string(profile, 2) == "0"
     assert profile.consistent
+
+
+MOORE = [
+    # (id, complex, read at the last index of this value (None: at the
+    # end), H_0, H_1, ..., the profile's offenders)
+    *[(f"M{q}", lambda q=q: moore_space(q), None, ("Z", f"Z/{q}^*Z", "0"), ()) for q in (2, 3, 5, 7)],
+    ("M3-before-disk", lambda: moore_space(3), 0.0, ("Z", "Z", "0"), ()),
+    *[
+        (f"M{q}-coned-at-1", lambda q=q: moore_space(q, cone=True), 1.0, ("Z", f"Z/{q}^*Z", "0", "0"), ())
+        for q in (2, 3, 5, 7)
+    ],
+    *[
+        (f"M{q}-coned", lambda q=q: moore_space(q, cone=True), None, ("Z", "0", "0", "0"), ())
+        for q in (2, 3, 5, 7)
+    ],
+    ("wedge-at-1", moore_wedge, 1.0, ("Z", "Z + Z/3^*Z", "0"), ()),
+    ("wedge", moore_wedge, None, ("Z", "Z/3^*Z + Z/5^*Z", "0"), ()),
+    # the reference prime 97 divides the torsion: its field alone sees a
+    # class in H_1 and H_2, and every other field is named an offender
+    ("M97", lambda: moore_space(97), None, ("Z", "Z", "Z"), tuple((1, q) for q in first_primes(24))),
+]
+
+
+@pytest.mark.parametrize(
+    "build, value, groups, offenders", [case[1:] for case in MOORE], ids=[case[0] for case in MOORE]
+)
+def test_moore_space_torsion_over_the_first_25_primes(build, value, groups, offenders):
+    mf, _ = reduce_multifield(build(), PrimeBasis.first(25))
+    t = None if value is None else int((mf.index_values <= value).sum())
+    profile = infer_torsion(betti_table(mf, t=t))
+    assert tuple(group_string(profile, d) for d in range(len(profile.beta_z))) == groups
+    assert profile.offenders == offenders
+    assert profile.consistent == (offenders == ())
 
 
 def test_reference_prime_too_small_is_flagged():
