@@ -91,15 +91,19 @@ def _parse_prime_list(text: str) -> tuple[int, ...]:
     return primes
 
 
-def _resolve_primes(args) -> tuple[int, ...]:
-    if getattr(args, "primes", None) is not None:
-        return _parse_prime_list(args.primes)
-    r = getattr(args, "r", None)
-    if r is not None:
-        if int(r) < 1:
-            raise ValueError("r must be >= 1")
-        return first_primes(int(r))
-    return first_primes(2)
+def _resolve_primes(args) -> list[tuple[int, ...]]:
+    """[--primes], the first r primes for each r of -r, or [(2, 3)]."""
+    if args.primes is not None:
+        return [_parse_prime_list(args.primes)]
+    if args.r is None:
+        return [first_primes(2)]
+    try:
+        rs = [int(tok) for tok in str(args.r).split(",") if tok.strip()]
+    except ValueError:
+        rs = []
+    if not rs:
+        raise ValueError(f"bad r sweep {args.r!r}")
+    return [first_primes(r) for r in rs]
 
 
 def _write_lines(path: str, lines) -> None:
@@ -165,7 +169,7 @@ def _cmd_gen_flag(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cx = load_filtration(args.input)
-    basis = PrimeBasis.of(_resolve_primes(args))
+    basis = PrimeBasis.of(_resolve_primes(args)[0])
 
     if args.mode == "bruteforce":
         for q in basis.primes:
@@ -199,7 +203,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_torsion(args) -> int:
     cx = load_filtration(args.input)
-    basis = PrimeBasis.of(_resolve_primes(args))
+    basis = PrimeBasis.of(_resolve_primes(args)[0])
     mf, _stats = reduce_multifield(cx, basis)
     table = betti_table(mf, t=args.at, d_max=args.d_max)
     profile = infer_torsion(table, reference=args.reference)
@@ -222,17 +226,8 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_bench(args) -> int:
     cx = load_filtration(args.input)
-    if args.primes is not None:
-        bases = [_parse_prime_list(args.primes)]
-    elif args.r is not None:
-        rs = [int(tok) for tok in str(args.r).split(",") if tok.strip()]
-        if not rs or any(r < 1 for r in rs):
-            raise ValueError(f"bad r sweep {args.r!r}")
-        bases = [first_primes(r) for r in rs]
-    else:
-        bases = [first_primes(2)]
     reports = []
-    for primes in bases:
+    for primes in _resolve_primes(args):
         report, _mf = run_bench(cx, primes, mode=args.mode, repeats=args.repeats)
         reports.append(report)
         print(bench_text(report))
@@ -355,6 +350,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        # numpy refuses a negative seed; stdlib Random would use |seed|
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ class BettiTable:
 
     basis: PrimeBasis
     t: int
-    d_max: int
     beta: tuple[tuple[int, ...], ...]
 
 
@@ -91,55 +90,48 @@ def betti_table(
         raise ValueError(f"index t must be in [0, {m}]")
     if d_max is None:
         d_max = int(mf.index_dims.max(initial=0))
+    if d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
     births, deaths, ids, masks = mf.births, mf.deaths, mf.ids, mf.masks
     dims = mf.index_dims[births - 1]
     alive = (births <= t) & ((deaths > t) | (deaths == 0)) & (dims <= d_max)
-    rows = max(d_max + 1, 0)
+    rows = d_max + 1
     counts = np.bincount(dims[alive] * len(masks) + ids[alive], minlength=rows * len(masks))
     divides = np.array([[mask % q == 0 for q in mf.basis.primes] for mask in masks], dtype=np.int64)
     beta = counts.reshape(rows, len(masks)) @ divides.reshape(len(masks), mf.basis.r)
-    return BettiTable(basis=mf.basis, t=t, d_max=d_max, beta=tuple(map(tuple, beta.tolist())))
+    return BettiTable(basis=mf.basis, t=t, beta=tuple(map(tuple, beta.tolist())))
 
 
 def infer_torsion(table: BettiTable, reference: int | None = None) -> IntegralProfile:
     """Run the UCT recurrence against a torsion-free reference field.
 
     reference is a 1-based field index, defaulting to the field of the
-    largest prime in the basis.
+    largest prime in the basis.  Each step takes one dimension over all
+    fields; a negative count carries into the next dimension as it is.
     """
-    r = table.basis.r
+    primes = table.basis.primes
     if reference is None:
-        reference = max(range(1, r + 1), key=lambda s: table.basis.primes[s - 1])
-    if not 1 <= reference <= r:
-        raise ValueError(f"reference field must be in [1, {r}]")
+        reference = primes.index(max(primes)) + 1
+    if not 1 <= reference <= len(primes):
+        raise ValueError(f"reference field must be in [1, {len(primes)}]")
     if not table.beta:
         raise ValueError("empty Betti table")
-    beta_z = tuple(row[reference - 1] for row in table.beta)
-    offenders: list[tuple[int, int]] = []
-    torsion: list[tuple[int, ...]] = []
-    prev = [0] * r
-    for d in range(table.d_max + 1):
-        row = []
-        for s in range(1, r + 1):
-            if d == 0:
-                t_ds = 0
-                if table.beta[0][s - 1] != beta_z[0]:
-                    offenders.append((0, table.basis.primes[s - 1]))
-            else:
-                t_ds = table.beta[d][s - 1] - beta_z[d] - prev[s - 1]
-                if t_ds < 0:
-                    offenders.append((d, table.basis.primes[s - 1]))
-            row.append(t_ds)
-        torsion.append(tuple(row))
-        prev = row
+    beta = np.array(table.beta, dtype=np.int64)
+    excess = beta - beta[:, [reference - 1]]  # beta_d(Z/q) - beta_d(Z)
+    torsion = np.zeros_like(beta)  # t(0, q) = 0: 0-homology is free
+    for d in range(1, len(beta)):
+        torsion[d] = excess[d] - torsion[d - 1]
+    bad = torsion < 0
+    bad[0] = excess[0] != 0  # H_0 is free: every beta_0 is beta_0(Z)
+    offenders = tuple((d, primes[s]) for d, s in np.argwhere(bad).tolist())
     return IntegralProfile(
         basis=table.basis,
         t=table.t,
         reference=reference,
-        beta_z=beta_z,
-        torsion=tuple(torsion),
+        beta_z=tuple(beta[:, reference - 1].tolist()),
+        torsion=tuple(map(tuple, torsion.tolist())),
         consistent=not offenders,
-        offenders=tuple(offenders),
+        offenders=offenders,
     )
 
 
@@ -151,9 +143,8 @@ def group_string(profile: IntegralProfile, d: int) -> str:
         parts.append("Z")
     elif b > 1:
         parts.append(f"Z^{b}")
-    for s in range(1, profile.basis.r + 1):
-        q = profile.basis.primes[s - 1]
-        parts.extend([f"Z/{q}^*Z"] * max(0, profile.torsion[d][s - 1]))
+    for q, count in zip(profile.basis.primes, profile.torsion[d]):
+        parts.extend([f"Z/{q}^*Z"] * max(0, count))
     return " + ".join(parts) if parts else "0"
 
 
@@ -177,12 +168,8 @@ def torsion_report(profile: IntegralProfile) -> str:
 def torsion_csv_rows(profile: IntegralProfile) -> list[str]:
     """CSV body for the report; header `t,d,beta_Z,q,t_d_q`."""
     rows = ["t,d,beta_Z,q,t_d_q"]
-    for d in range(len(profile.beta_z)):
-        for s in range(1, profile.basis.r + 1):
-            rows.append(
-                f"{profile.t},{d},{profile.beta_z[d]},"
-                f"{profile.basis.primes[s - 1]},{profile.torsion[d][s - 1]}"
-            )
+    for d, (b, counts) in enumerate(zip(profile.beta_z, profile.torsion)):
+        rows.extend(f"{profile.t},{d},{b},{q},{count}" for q, count in zip(profile.basis.primes, counts))
     return rows
 
 

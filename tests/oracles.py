@@ -2,8 +2,8 @@
 fields, Betti numbers of filtration prefixes via rank-nullity, small
 random complexes, fixed triangulations with known homology (Moore
 spaces M(Z/q, 1) among them), the CRT conversions between Z/QZ and its
-fields, and the per-row writers and loaders that the library's array
-code replaced.
+fields, and the per-row writers, loaders and UCT loop that the
+library's array code replaced.
 
 Everything here deliberately avoids the library's sparse reduction so
 that test comparisons cross two unrelated code paths.
@@ -16,6 +16,7 @@ from itertools import combinations
 from mfph.complexes import FilteredComplex, _Fault, data_lines, finite_float, format_value
 from mfph.crt import _check_mask
 from mfph.generators import linial_meshulam, minimal_projective_plane, random_flag
+from mfph.torsion import IntegralProfile
 
 
 def mod_rank(rows, q):
@@ -411,3 +412,50 @@ def reference_save_field_diagram(diagram, cx, path):
                 f"{dim} {birth} {dstr} {format_value(cx.value(birth))} {dval}"
                 f" {diagram.prime}\n"
             )
+
+
+def reference_infer_torsion(table, reference=None):
+    """The UCT recurrence as it was: one Python step per (dimension,
+    field), carrying the previous dimension's row by hand."""
+    r = table.basis.r
+    if reference is None:
+        reference = max(range(1, r + 1), key=lambda s: table.basis.primes[s - 1])
+    beta_z = tuple(row[reference - 1] for row in table.beta)
+    offenders = []
+    torsion = []
+    prev = [0] * r
+    for d in range(len(table.beta)):
+        row = []
+        for s in range(1, r + 1):
+            if d == 0:
+                t_ds = 0
+                if table.beta[0][s - 1] != beta_z[0]:
+                    offenders.append((0, table.basis.primes[s - 1]))
+            else:
+                t_ds = table.beta[d][s - 1] - beta_z[d] - prev[s - 1]
+                if t_ds < 0:
+                    offenders.append((d, table.basis.primes[s - 1]))
+            row.append(t_ds)
+        torsion.append(tuple(row))
+        prev = row
+    return IntegralProfile(
+        basis=table.basis,
+        t=table.t,
+        reference=reference,
+        beta_z=beta_z,
+        torsion=tuple(torsion),
+        consistent=not offenders,
+        offenders=tuple(offenders),
+    )
+
+
+def reference_torsion_csv_rows(profile):
+    """torsion_csv_rows as it was, indexing the primes per cell."""
+    rows = ["t,d,beta_Z,q,t_d_q"]
+    for d in range(len(profile.beta_z)):
+        for s in range(1, profile.basis.r + 1):
+            rows.append(
+                f"{profile.t},{d},{profile.beta_z[d]},"
+                f"{profile.basis.primes[s - 1]},{profile.torsion[d][s - 1]}"
+            )
+    return rows

@@ -333,6 +333,25 @@ def test_window_reads_a_negative_c_star_given_as_its_own_word(c_star, code, caps
     assert f"c_star = {float(c_star)}" in captured.out if code == 0 else "c_star" in captured.err
 
 
+NEGATIVE_SEEDS = {
+    "rips": ["rips", "--shape", "cube-uniform", "--n", "5", "--rho", "1", "--max-dim", "2", "--seed", "-1"],
+    "gen-ym": ["gen-ym", "--n", "8", "--m", "10", "--seed", "-7"],
+    "gen-flag": ["gen-flag", "--n", "7", "--m-edges", "12", "--max-dim", "2", "--seed", "-7"],
+    "window": ["window", "--n", "6", "--trials", "1", "--c-star", "1", "--seed", "-5"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_exits_2_naming_the_option(verb, tmp_path, monkeypatch, capsys):
+    # numpy refuses a negative seed; stdlib Random would use |seed|
+    monkeypatch.chdir(tmp_path)
+    argv = NEGATIVE_SEEDS[verb] + (["--out", "out.flt"] if verb != "window" else ["--csv", "out.csv"])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--seed must be >= 0, got {argv[argv.index('--seed') + 1]}" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_is_validation_error(tmp_path, capsys):
     code = cli.main(["reduce", "--input", str(tmp_path / "nope.flt")])
     assert code == 2
@@ -497,6 +516,11 @@ MALFORMED = [
     ("noprimes-torsion.flt", "0 0 0\n", ["torsion", "--input"], ["--primes", ""], "empty prime list"),
     ("noprimes-bench.flt", "0 0 0\n", ["bench", "--input"], ["--primes", ""], "empty prime list"),
     ("nor-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", ""], "bad r sweep ''"),
+    ("xr-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", "1,x"], "bad r sweep '1,x'"),
+    # every verb resolves -r the same way
+    ("r0-reduce.flt", "0 0 0\n", ["reduce", "--input"], ["-r", "0"], "r must be >= 1"),
+    ("r0-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", "10,0"], "r must be >= 1"),
+    ("dmax.flt", "0 0 0\n", ["torsion", "--input"], ["--d-max", "-1"], "d_max must be >= 0, got -1"),
     # every mode checks the prime list as a whole before it reduces
     ("twice-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "2,2", "--mode", "bruteforce"], "distinct"),
     ("one-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "3,1", "--mode", "bruteforce"], "1 is not prime"),

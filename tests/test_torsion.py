@@ -20,7 +20,16 @@ from mfph.torsion import (
     torsion_report,
 )
 
-from oracles import betti_at, filled_triangle, klein_grid, moore_space, moore_wedge, random_small_complex
+from oracles import (
+    betti_at,
+    filled_triangle,
+    klein_grid,
+    moore_space,
+    moore_wedge,
+    random_small_complex,
+    reference_infer_torsion,
+    reference_torsion_csv_rows,
+)
 
 
 def rp2_profile(primes, reference=None):
@@ -33,7 +42,7 @@ def rp2_profile(primes, reference=None):
 def test_projective_plane_betti_table():
     table, _ = rp2_profile([2, 3, 5])
     assert table.beta == ((1, 1, 1), (1, 0, 0), (1, 0, 0))
-    assert table.t == 31 and table.d_max == 2
+    assert table.t == 31 and len(table.beta) == 3
     assert tuple(row[0] for row in table.beta) == (1, 1, 1)
     assert tuple(row[2] for row in table.beta) == (1, 0, 0)
 
@@ -119,7 +128,7 @@ def test_uct_reconstruction_identity():
         table = betti_table(mf)
         profile = infer_torsion(table)
         assert all((0, q) not in profile.offenders for q in basis.primes)
-        for d in range(table.d_max + 1):
+        for d in range(len(table.beta)):
             for s in range(1, 4):
                 prev = profile.torsion[d - 1][s - 1] if d else 0
                 assert (
@@ -129,12 +138,50 @@ def test_uct_reconstruction_identity():
 
 
 def test_dimension_zero_mismatch_is_inconsistent():
-    table = BettiTable(
-        basis=PrimeBasis.of([2, 3]), t=5, d_max=0, beta=((1, 2),)
-    )
+    table = BettiTable(basis=PrimeBasis.of([2, 3]), t=5, beta=((1, 2),))
     profile = infer_torsion(table)
     assert not profile.consistent
     assert profile.offenders == ((0, 2),)
+
+
+def random_betti_table(rng):
+    """A Betti table over up to 6 primes in any order.  One in four is
+    built by the UCT from a torsion-free reference field, so it is
+    consistent; the rest are random counts, mostly inconsistent, whose
+    negative torsion counts carry into the next dimension."""
+    primes = rng.sample(first_primes(12), rng.randint(1, 6))
+    rows = rng.randint(1, 5)
+    if rng.random() < 0.25:
+        clean = rng.randrange(len(primes))
+        torsion = [[0] * len(primes)] + [
+            [0 if s == clean else rng.randint(0, 2) for s in range(len(primes))] for _ in range(rows - 1)
+        ]
+        beta_z = [rng.randint(0, 3) for _ in range(rows)]
+        beta = [
+            [beta_z[d] + torsion[d][s] + (torsion[d - 1][s] if d else 0) for s in range(len(primes))]
+            for d in range(rows)
+        ]
+    else:
+        beta = [[rng.randint(0, 4) for _ in primes] for _ in range(rows)]
+    return BettiTable(basis=PrimeBasis.of(primes), t=rng.randint(0, 50), beta=tuple(map(tuple, beta)))
+
+
+def test_infer_torsion_matches_the_per_field_loop():
+    rng = random.Random(2027)
+    consistent = carried = 0
+    for _ in range(200):
+        table = random_betti_table(rng)
+        for reference in (None, *range(1, table.basis.r + 1)):
+            want = reference_infer_torsion(table, reference)
+            got = infer_torsion(table, reference)
+            assert got == want
+            # public fields hold Python ints, as the printers format them
+            assert {type(x) for row in (got.beta_z, *got.torsion) for x in row} == {int}
+            assert torsion_csv_rows(got) == reference_torsion_csv_rows(want)
+            consistent += got.consistent
+            carried += any(min(row) < 0 for row in got.torsion[1:-1])
+    # both branches ran, and negative counts fed later dimensions
+    assert consistent > 50 and carried > 200
 
 
 def test_betti_table_partial_index():
@@ -156,7 +203,7 @@ def test_infer_torsion_validation():
         infer_torsion(table, reference=3)
     with pytest.raises(ValueError):
         infer_torsion(table, reference=0)
-    empty = BettiTable(basis=PrimeBasis.of([2]), t=0, d_max=0, beta=())
+    empty = BettiTable(basis=PrimeBasis.of([2]), t=0, beta=())
     with pytest.raises(ValueError):
         infer_torsion(empty)
 
