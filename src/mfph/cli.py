@@ -203,10 +203,13 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_torsion(args) -> int:
     cx = load_filtration(args.input)
+    if args.at is not None and not 0 <= args.at <= len(cx):
+        raise ValueError(f"--at must be in [0, {len(cx)}], got {args.at}")
+    if args.d_max is not None and args.d_max < 0:
+        raise ValueError(f"--d-max must be >= 0, got {args.d_max}")
     basis = PrimeBasis.of(_resolve_primes(args)[0])
     mf, _stats = reduce_multifield(cx, basis)
-    table = betti_table(mf, t=args.at, d_max=args.d_max)
-    profile = infer_torsion(table, reference=args.reference)
+    profile = infer_torsion(betti_table(mf, t=args.at, d_max=args.d_max))
     print(torsion_report(profile))
     if args.annotate:
         print("superimposed diagram points:")
@@ -304,9 +307,6 @@ def build_parser() -> _Parser:
     _add_primes_args(p)
     p.add_argument("--at", type=int, help="filtration index (default: end)")
     p.add_argument("--d-max", type=int, help="largest dimension to report")
-    p.add_argument(
-        "--reference", type=int, help="reference field index (default: largest prime)"
-    )
     p.add_argument("--annotate", action="store_true", help="list diagram points with their fields")
     p.add_argument("--csv", help="write machine-readable rows here")
     p.set_defaults(func=_cmd_torsion)

@@ -5,10 +5,11 @@ The universal coefficient theorem gives, for each prime field Z/qZ,
     beta_d(Z/qZ) = beta_d(Z) + t(d, q) + t(d-1, q)
 
 where t(d, q) counts the Z/q^kZ summands of the integral d-homology.
-Reading beta_d(Z) off a reference field whose prime exceeds every
-torsion prime turns this into a recurrence for the t(d, q), starting
-from t(0, q) = 0 since 0-homology is free.  Exponents k are not
-recoverable from field Betti numbers and are rendered as q^*.
+A field whose prime divides no torsion coefficient has the least Betti
+number in every dimension, so beta_d(Z) is read off the field of the
+largest prime whose column is least at every d.  This turns the identity
+into a recurrence for the t(d, q), from t(0, q) = 0 since 0-homology is
+free.  Exponents k are not recoverable and are rendered as q^*.
 
 torsion_window reads torsion across random 2-complexes Y(n, m), as in
 Kahle, Lutz, Newman and Parsons (Experimental Mathematics 2020).
@@ -60,8 +61,8 @@ class IntegralProfile:
 
     torsion[d][s-1] counts Z/q_s^*Z summands in dimension d.  When any
     count would be negative, or dimension 0 disagrees across fields,
-    the reference-prime assumption failed: consistent is False and
-    offenders lists the (dimension, prime) witnesses.
+    every basis prime divides some torsion coefficient: consistent is
+    False and offenders lists the (dimension, prime) witnesses.
     """
 
     basis: PrimeBasis
@@ -102,21 +103,19 @@ def betti_table(
     return BettiTable(basis=mf.basis, t=t, beta=tuple(map(tuple, beta.tolist())))
 
 
-def infer_torsion(table: BettiTable, reference: int | None = None) -> IntegralProfile:
+def infer_torsion(table: BettiTable) -> IntegralProfile:
     """Run the UCT recurrence against a torsion-free reference field.
 
-    reference is a 1-based field index, defaulting to the field of the
-    largest prime in the basis.  Each step takes one dimension over all
-    fields; a negative count carries into the next dimension as it is.
+    The reference is the field of the largest prime whose column is least
+    at every d, or else of the largest prime.  Each step takes one dimension
+    over all fields; a negative count carries into the next as it is.
     """
-    primes = table.basis.primes
-    if reference is None:
-        reference = primes.index(max(primes)) + 1
-    if not 1 <= reference <= len(primes):
-        raise ValueError(f"reference field must be in [1, {len(primes)}]")
     if not table.beta:
         raise ValueError("empty Betti table")
+    primes = table.basis.primes
     beta = np.array(table.beta, dtype=np.int64)
+    least = np.flatnonzero((beta == beta.min(axis=1, keepdims=True)).all(axis=0)).tolist()
+    reference = max(least or range(len(primes)), key=primes.__getitem__) + 1
     excess = beta - beta[:, [reference - 1]]  # beta_d(Z/q) - beta_d(Z)
     torsion = np.zeros_like(beta)  # t(0, q) = 0: 0-homology is free
     for d in range(1, len(beta)):

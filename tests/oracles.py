@@ -2,8 +2,8 @@
 fields, Betti numbers of filtration prefixes via rank-nullity, small
 random complexes, fixed triangulations with known homology (Moore
 spaces M(Z/q, 1) among them), the CRT conversions between Z/QZ and its
-fields, and the per-row writers, loaders and UCT loop that the
-library's array code replaced.
+fields, integral homology by integer elimination, and the per-row
+writers, loaders and UCT loop that the library's array code replaced.
 
 Everything here deliberately avoids the library's sparse reduction so
 that test comparisons cross two unrelated code paths.
@@ -186,6 +186,64 @@ def betti_prefix(cx, q, t=None, d_max=None):
     return betti
 
 
+def _diagonal(mat):
+    """The absolute values of the nonzero entries of a diagonal form of
+    the integer matrix {(row, col): value}, by unimodular row and column
+    operations over Python ints.  Each step pivots on an entry of least
+    absolute value, the sparsest such first, and reduces its column and
+    row by it; a remainder is a smaller pivot for a later step."""
+    rows, cols = {}, {}
+    for (i, j), v in mat.items():
+        rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = v
+
+    def put(i, j, v):
+        if v:
+            rows[i][j] = cols[j][i] = v
+        else:
+            rows[i].pop(j, None)
+            cols[j].pop(i, None)
+
+    diagonal = []
+    while any(cols.values()):
+        _, i, j = min(((abs(v), len(rows[i]) * len(col)), i, j) for j, col in cols.items() for i, v in col.items())
+        a = rows[i][j]
+        for k in [k for k in cols[j] if k != i]:
+            f = cols[j][k] // a
+            for ell, v in list(rows[i].items()):
+                put(k, ell, rows[k].get(ell, 0) - f * v)
+        for ell in [ell for ell in rows[i] if ell != j]:
+            f = rows[i][ell] // a
+            for k, v in list(cols[j].items()):
+                put(k, ell, cols[ell].get(k, 0) - f * v)
+        if len(rows[i]) == len(cols[j]) == 1:
+            diagonal.append(abs(a))
+            del rows[i], cols[j]
+    return diagonal
+
+
+def integral_homology(cx, t):
+    """H_d(K_t; Z) for d = 0..cx.max_dim as (free rank, torsion
+    coefficients), from a diagonal form of each integer boundary matrix:
+    the free rank is n_d - rank d_d - rank d_{d+1}, and each diagonal
+    entry e > 1 of d_{d+1} is a summand Z/eZ.  The form need not be the
+    Smith normal form (Z/3 + Z/5 may stay apart from Z/15), but a prime
+    q divides as many coefficients as H_d has Z/q^kZ summands."""
+    index = {cx.simplex(j): j for j in range(1, t + 1)}
+    counts = [0] * (cx.max_dim + 1)
+    mats = [{} for _ in range(cx.max_dim + 2)]  # mats[d]: the d-boundary
+    for j in range(1, t + 1):
+        verts = cx.simplex(j)
+        d = len(verts) - 1
+        counts[d] += 1
+        for ell in range(len(verts) if d else 0):
+            mats[d][index[verts[:ell] + verts[ell + 1 :]], j] = (-1) ** ell
+    diagonals = [_diagonal(mat) for mat in mats]
+    return [
+        (counts[d] - len(diagonals[d]) - len(diagonals[d + 1]), tuple(sorted(e for e in diagonals[d + 1] if e > 1)))
+        for d in range(cx.max_dim + 1)
+    ]
+
+
 def betti_at(diagram, t, d):
     """Per-field Betti oracle for betti_table: the classes of dimension d
     in a FieldDiagram that are alive at index t (birth <= t < death)."""
@@ -285,6 +343,17 @@ def moore_wedge():
     value 2, wedged at vertex 0, both circles at value 0 (205 simplices).
     Over Z, H_1 is Z^2 on [0, 1), Z + Z/3 on [1, 2) and Z/3 + Z/5 from 2."""
     cells = _moore_cells(3, (0, 1, 2), 3, 1.0) + _moore_cells(5, (0, 13, 14), 15, 2.0)
+    return FilteredComplex(sorted(_closure(cells).items()))
+
+
+def moore_suspension_wedge():
+    """M(Z/2, 1) with its disk at value 1, wedged at vertex 0 with the
+    suspension of M(Z/3, 1) whose disk is at value 2 (293 simplices);
+    each cone over a cell of M(Z/3, 1) enters with that cell.  Over Z,
+    H_1 is Z on [0, 1) and Z/2 from 1; H_2 is Z on [0, 2) and Z/3 from 2.
+    So over {2, 3} each field sees torsion at the end."""
+    cells = [(cell + (pole,), v) for cell, v in _moore_cells(3, (0, 1, 2), 3, 2.0) for pole in (13, 14)]
+    cells += _moore_cells(2, (0, 15, 16), 17, 1.0)
     return FilteredComplex(sorted(_closure(cells).items()))
 
 
@@ -414,12 +483,14 @@ def reference_save_field_diagram(diagram, cx, path):
             )
 
 
-def reference_infer_torsion(table, reference=None):
+def reference_infer_torsion(table):
     """The UCT recurrence as it was: one Python step per (dimension,
-    field), carrying the previous dimension's row by hand."""
+    field), carrying the previous dimension's row by hand, against the
+    field of the largest prime whose Betti number is the least of its
+    dimension's at every d (or, with none, of the largest prime)."""
     r = table.basis.r
-    if reference is None:
-        reference = max(range(1, r + 1), key=lambda s: table.basis.primes[s - 1])
+    least = [s for s in range(1, r + 1) if all(row[s - 1] == min(row) for row in table.beta)]
+    reference = max(least or range(1, r + 1), key=lambda s: table.basis.primes[s - 1])
     beta_z = tuple(row[reference - 1] for row in table.beta)
     offenders = []
     torsion = []

@@ -22,7 +22,7 @@ from mfph.multifield import reduce_multifield, save_multifield_diagram
 from mfph.single_field import reduce_single_field
 from mfph.torsion import annotate_diagram, betti_table, torsion_window
 
-from oracles import filled_triangle
+from oracles import filled_triangle, moore_suspension_wedge
 
 
 @pytest.fixture
@@ -241,12 +241,17 @@ def test_annotate_prints_values_in_full(tmp_path, capsys):
     ]
 
 
-def test_torsion_reference_warning(rp2_file, capsys):
-    code = cli.main(
-        ["torsion", "--input", rp2_file, "--primes", "2,3", "--reference", "1"]
-    )
+def test_torsion_reference_warning(tmp_path, capsys):
+    # H_1 = Z/2 and H_2 = Z/3: neither field of {2, 3} is torsion-free
+    path = tmp_path / "wedge.flt"
+    save_filtration(moore_suspension_wedge(), path)
+    code = cli.main(["torsion", "--input", str(path), "--primes", "2,3"])
     assert code == 0
-    assert "WARNING" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(reference prime 3)" in out
+    assert "WARNING" in out and "offending entries: (d=2, q=2)" in out
+    # the reference is read off the Betti table; there is no option for it
+    assert cli.main(["torsion", "--input", str(path), "--reference", "1"]) == 1
 
 
 def test_bench_sweep_csv(triangle_file, tmp_path, capsys):
@@ -520,7 +525,10 @@ MALFORMED = [
     # every verb resolves -r the same way
     ("r0-reduce.flt", "0 0 0\n", ["reduce", "--input"], ["-r", "0"], "r must be >= 1"),
     ("r0-bench.flt", "0 0 0\n", ["bench", "--input"], ["-r", "10,0"], "r must be >= 1"),
-    ("dmax.flt", "0 0 0\n", ["torsion", "--input"], ["--d-max", "-1"], "d_max must be >= 0, got -1"),
+    # torsion's range errors name the option
+    ("dmax.flt", "0 0 0\n", ["torsion", "--input"], ["--d-max", "-1"], "--d-max must be >= 0, got -1"),
+    ("atneg.flt", "0 0 0\n", ["torsion", "--input"], ["--at", "-1"], "--at must be in [0, 1], got -1"),
+    ("atpast.flt", "0 0 0\n", ["torsion", "--input"], ["--at", "2"], "--at must be in [0, 1], got 2"),
     # every mode checks the prime list as a whole before it reduces
     ("twice-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "2,2", "--mode", "bruteforce"], "distinct"),
     ("one-bruteforce.flt", "0 0 0\n", ["reduce", "--input"], ["--primes", "3,1", "--mode", "bruteforce"], "1 is not prime"),

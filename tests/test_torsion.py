@@ -23,8 +23,10 @@ from mfph.torsion import (
 from oracles import (
     betti_at,
     filled_triangle,
+    integral_homology,
     klein_grid,
     moore_space,
+    moore_suspension_wedge,
     moore_wedge,
     random_small_complex,
     reference_infer_torsion,
@@ -32,11 +34,11 @@ from oracles import (
 )
 
 
-def rp2_profile(primes, reference=None):
+def rp2_profile(primes):
     cx = minimal_projective_plane()
     mf, _ = reduce_multifield(cx, PrimeBasis.of(primes))
     table = betti_table(mf)
-    return table, infer_torsion(table, reference=reference)
+    return table, infer_torsion(table)
 
 
 def test_projective_plane_betti_table():
@@ -82,9 +84,9 @@ MOORE = [
     ],
     ("wedge-at-1", moore_wedge, 1.0, ("Z", "Z + Z/3^*Z", "0"), ()),
     ("wedge", moore_wedge, None, ("Z", "Z/3^*Z + Z/5^*Z", "0"), ()),
-    # the reference prime 97 divides the torsion: its field alone sees a
-    # class in H_1 and H_2, and every other field is named an offender
-    ("M97", lambda: moore_space(97), None, ("Z", "Z", "Z"), tuple((1, q) for q in first_primes(24))),
+    # 97 divides the torsion: its field alone sees a class in H_1 and
+    # H_2, so the reference is 89, the largest prime whose field is least
+    ("M97", lambda: moore_space(97), None, ("Z", "Z/97^*Z", "0"), ()),
 ]
 
 
@@ -100,13 +102,61 @@ def test_moore_space_torsion_over_the_first_25_primes(build, value, groups, offe
     assert profile.consistent == (offenders == ())
 
 
+INTEGRAL = [
+    *[(f"M{q}", lambda q=q: moore_space(q)) for q in (2, 3, 5, 7)],
+    *[(f"M{q}-coned", lambda q=q: moore_space(q, cone=True)) for q in (2, 3, 5, 7)],
+    ("wedge", moore_wedge),
+    ("suspension-wedge", moore_suspension_wedge),
+    ("rp2", minimal_projective_plane),
+    ("klein", klein_grid),
+]
+
+
+@pytest.mark.parametrize("build", [case[1] for case in INTEGRAL], ids=[case[0] for case in INTEGRAL])
+def test_default_reference_reads_the_integral_homology(build):
+    # at the last index of each value, over bases with and without a
+    # torsion-free prime: the fields' Betti numbers are the oracle's by
+    # the UCT, and with a prime that divides no torsion coefficient the
+    # profile is H_d(K_t; Z) itself
+    cx = build()
+    bases = [PrimeBasis.of(primes) for primes in ([2, 3], [5, 2, 3, 7], first_primes(25))]
+    diagrams = [reduce_multifield(cx, basis)[0] for basis in bases]
+    for t in sorted({int((diagrams[0].index_values <= v).sum()) for v in diagrams[0].index_values}):
+        homology = integral_homology(cx, t)
+        for basis, mf in zip(bases, diagrams):
+            # counts[d][s]: the Z/q_s^kZ summands of H_d
+            counts = [[sum(e % q == 0 for e in coefficients) for q in basis.primes] for _, coefficients in homology]
+            table = betti_table(mf, t=t)
+            assert table.beta == tuple(
+                tuple(free + n + (counts[d - 1][s] if d else 0) for s, n in enumerate(counts[d]))
+                for d, (free, _) in enumerate(homology)
+            )
+            if all(any(row[s] for row in counts) for s in range(basis.r)):
+                continue  # no basis prime is torsion-free
+            profile = infer_torsion(table)
+            assert profile.consistent
+            assert profile.beta_z == tuple(free for free, _ in homology)
+            assert profile.torsion == tuple(map(tuple, counts))
+
+
 def test_reference_prime_too_small_is_flagged():
-    _, profile = rp2_profile([2, 3, 5], reference=1)
+    # H_1 = Z/2 and H_2 = Z/3: over {2, 3} no field is torsion-free, so
+    # no column is least at every d and the largest prime is the reference
+    mf, _ = reduce_multifield(moore_suspension_wedge(), PrimeBasis.of([2, 3]))
+    table = betti_table(mf)
+    assert table.beta == ((1, 1), (1, 0), (1, 1), (0, 1))
+    profile = infer_torsion(table)
     assert not profile.consistent
-    assert profile.beta_z == (1, 1, 1)
-    assert profile.offenders == ((1, 3), (1, 5))
+    assert profile.reference == 2
+    assert profile.beta_z == (1, 0, 1, 1)
+    assert profile.offenders == ((2, 2),)
     report = torsion_report(profile)
-    assert "WARNING" in report and "(d=1, q=3)" in report
+    assert "WARNING" in report and "(d=2, q=2)" in report
+    # a torsion-free field in the basis is read as the reference
+    mf, _ = reduce_multifield(moore_suspension_wedge(), PrimeBasis.of([2, 3, 5]))
+    profile = infer_torsion(betti_table(mf))
+    assert profile.consistent and profile.reference == 3
+    assert [group_string(profile, d) for d in range(4)] == ["Z", "Z/2^*Z", "Z/3^*Z", "0"]
 
 
 def test_reference_choice_does_not_change_profile():
@@ -138,15 +188,18 @@ def test_uct_reconstruction_identity():
 
 
 def test_dimension_zero_mismatch_is_inconsistent():
+    # field 2's column is the least, so it is the reference
     table = BettiTable(basis=PrimeBasis.of([2, 3]), t=5, beta=((1, 2),))
     profile = infer_torsion(table)
     assert not profile.consistent
-    assert profile.offenders == ((0, 2),)
+    assert profile.reference == 1
+    assert profile.offenders == ((0, 3),)
 
 
 def random_betti_table(rng):
-    """A Betti table over up to 6 primes in any order.  One in four is
-    built by the UCT from a torsion-free reference field, so it is
+    """A Betti table over up to 6 primes in any order, and the profile
+    it was built from or None.  One in four is built by the UCT from
+    random torsion counts with one torsion-free field, so it is
     consistent; the rest are random counts, mostly inconsistent, whose
     negative torsion counts carry into the next dimension."""
     primes = rng.sample(first_primes(12), rng.randint(1, 6))
@@ -161,27 +214,34 @@ def random_betti_table(rng):
             [beta_z[d] + torsion[d][s] + (torsion[d - 1][s] if d else 0) for s in range(len(primes))]
             for d in range(rows)
         ]
+        planted = (tuple(beta_z), tuple(map(tuple, torsion)))
     else:
         beta = [[rng.randint(0, 4) for _ in primes] for _ in range(rows)]
-    return BettiTable(basis=PrimeBasis.of(primes), t=rng.randint(0, 50), beta=tuple(map(tuple, beta)))
+        planted = None
+    table = BettiTable(basis=PrimeBasis.of(primes), t=rng.randint(0, 50), beta=tuple(map(tuple, beta)))
+    return table, planted
 
 
 def test_infer_torsion_matches_the_per_field_loop():
     rng = random.Random(2027)
-    consistent = carried = 0
-    for _ in range(200):
-        table = random_betti_table(rng)
-        for reference in (None, *range(1, table.basis.r + 1)):
-            want = reference_infer_torsion(table, reference)
-            got = infer_torsion(table, reference)
-            assert got == want
-            # public fields hold Python ints, as the printers format them
-            assert {type(x) for row in (got.beta_z, *got.torsion) for x in row} == {int}
-            assert torsion_csv_rows(got) == reference_torsion_csv_rows(want)
-            consistent += got.consistent
-            carried += any(min(row) < 0 for row in got.torsion[1:-1])
-    # both branches ran, and negative counts fed later dimensions
-    assert consistent > 50 and carried > 200
+    consistent = carried = no_least = 0
+    for _ in range(600):
+        table, planted = random_betti_table(rng)
+        want = reference_infer_torsion(table)
+        got = infer_torsion(table)
+        assert got == want
+        # public fields hold Python ints, as the printers format them
+        assert {type(x) for row in (got.beta_z, *got.torsion) for x in row} == {int}
+        assert torsion_csv_rows(got) == reference_torsion_csv_rows(want)
+        if planted is not None:
+            # with a torsion-free field in the basis the profile is exact
+            assert got.consistent and (got.beta_z, got.torsion) == planted
+        consistent += got.consistent
+        carried += any(min(row) < 0 for row in got.torsion[1:-1])
+        no_least += not any(all(row[s] == min(row) for row in table.beta) for s in range(table.basis.r))
+    # both branches ran, with and without a least column, and negative
+    # counts fed later dimensions
+    assert consistent > 150 and no_least > 150 and carried > 100
 
 
 def test_betti_table_partial_index():
@@ -198,11 +258,6 @@ def test_betti_table_partial_index():
 
 
 def test_infer_torsion_validation():
-    table, _ = rp2_profile([2, 3])
-    with pytest.raises(ValueError):
-        infer_torsion(table, reference=3)
-    with pytest.raises(ValueError):
-        infer_torsion(table, reference=0)
     empty = BettiTable(basis=PrimeBasis.of([2]), t=0, beta=())
     with pytest.raises(ValueError):
         infer_torsion(empty)
